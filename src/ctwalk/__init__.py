@@ -54,6 +54,7 @@ from .first_passage import (
     deconvolve,
     detect_tau0,
     extract_first_passage,
+    first_passage_result,
     mean_fpt,
     reconstruct,
 )

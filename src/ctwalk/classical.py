@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
-from .grid import TimeGrid
+from .grid import TimeGrid, exp_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,12 +34,15 @@ class RateMatrix:
         return self.matrix.shape[0]
 
     @cached_property
-    def _spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of D^{-1/2} J D^{-1/2} - I."""
+    def symmetric(self) -> np.ndarray:
+        """D^{-1/2} J D^{-1/2} - I, similar to the generator via the degree diagonal."""
         dh = np.sqrt(self.degrees)
-        sym = self.adjacency / np.outer(dh, dh) - np.eye(self.n)
-        lam, u = np.linalg.eigh(sym)
-        return lam, u
+        return self.adjacency / np.outer(dh, dh) - np.eye(self.n)
+
+    @cached_property
+    def _spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of the symmetric form."""
+        return np.linalg.eigh(self.symmetric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +102,8 @@ def vertex_occupations(
     lam, u = rm._spectral
     dh = np.sqrt(rm.degrees)
     w = u[start - 1, :] / dh[start - 1]
-    t = grid.times
-    out = np.zeros((len(targets), grid.n))
-    for j in range(rm.n):
-        ph = np.exp(lam[j] * t)
-        for i, v in enumerate(targets):
-            out[i] += (dh[v - 1] * u[v - 1, j] * w[j]) * ph
-    return out
+    idx = np.array(targets, dtype=int) - 1
+    return exp_sum(lam, dh[idx, None] * u[idx, :] * w, grid)
 
 
 def stationary_distribution(rm: RateMatrix) -> np.ndarray:
@@ -134,7 +132,7 @@ def mfpt_linear_solve(g: Graph, start: int, target: int) -> float:
 def survival_horizon(g: Graph, target: int, eps: float = 1e-6, start: int = 1) -> float:
     """Time at which the not-yet-arrived probability mass drops below eps.
 
-    Uses the spectral form of the generator with the target row and column
+    Uses the symmetric form of the generator with the target row and column
     removed (the killed walk), then bisects the survival function. Sizing the
     simulation grid from this avoids repeated horizon doubling.
     """
@@ -142,12 +140,10 @@ def survival_horizon(g: Graph, target: int, eps: float = 1e-6, start: int = 1) -
     g.check_vertex(start)
     if start == target:
         raise ValidationError("start and target must differ")
-    j = g.adjacency()
-    deg = j.sum(axis=0)
-    keep = [i for i in range(g.n) if i != target - 1]
-    dh = np.sqrt(deg[keep])
-    sym = j[np.ix_(keep, keep)] / np.outer(dh, dh) - np.eye(len(keep))
-    lam, u = np.linalg.eigh(sym)
+    rm = build_rate_matrix(g)
+    keep = [i for i in range(rm.n) if i != target - 1]
+    dh = np.sqrt(rm.degrees[keep])
+    lam, u = np.linalg.eigh(rm.symmetric[np.ix_(keep, keep)])
     i_start = keep.index(start - 1)
     coef = (dh[:, None] * u).sum(axis=0) * (u[i_start, :] / dh[i_start])
 
@@ -158,7 +154,7 @@ def survival_horizon(g: Graph, target: int, eps: float = 1e-6, start: int = 1) -
     while surv(hi) > eps:
         hi *= 2.0
         if hi > 1e12:
-            raise ValidationError("survival mass does not decay; graph disconnected?")
+            raise ValidationError(f"survival mass does not drop below eps={eps}")
     lo = hi / 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

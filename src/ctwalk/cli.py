@@ -148,29 +148,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         start, target = 1, args.N
         label = _model_config(args)
     config = {**label, "walk": args.walk}
-    result, grid = experiments.run_pipeline(g, target, args.walk, args.dt, args.epsilon)
-    if args.walk == "quantum":
-        h = quantum.build_hamiltonian(g)
-        p_ab = quantum.transition_probabilities(h, start, (target,), grid)[0]
-        p_bb = quantum.transition_probabilities(h, target, (target,), grid)[0]
-        if args.full_series:
-            amp = quantum.evolve_schrodinger(h, start, grid)
-            io.write_amplitude_series_csv(args.out_dir / "amplitudes.csv", amp, config)
-            io.write_occupation_csv(args.out_dir / "occupations.csv", amp, config)
-    else:
-        rm = classical.build_rate_matrix(g)
-        p_ab = classical.vertex_occupations(rm, start, (target,), grid)[0]
-        p_bb = classical.vertex_occupations(rm, target, (target,), grid)[0]
-        if args.full_series:
-            series = classical.evolve_master(rm, start, grid)
-            io.write_probability_series_csv(
-                args.out_dir / "occupations.csv", series, config
-            )
+    result, grid = experiments.run_pipeline(
+        g, target, args.walk, args.dt, args.epsilon, start=start
+    )
+    if args.full_series and args.walk == "quantum":
+        amp = quantum.evolve_schrodinger(quantum.build_hamiltonian(g), start, grid)
+        io.write_amplitude_series_csv(args.out_dir / "amplitudes.csv", amp, config)
+        io.write_occupation_csv(args.out_dir / "occupations.csv", amp, config)
+    elif args.full_series:
+        series = classical.evolve_master(classical.build_rate_matrix(g), start, grid)
+        io.write_probability_series_csv(args.out_dir / "occupations.csv", series, config)
     io.write_columns_csv(
-        args.out_dir / f"P{start}{target}.csv", ["t", "P"], [grid.times, p_ab], config
+        args.out_dir / f"P{start}{target}.csv", ["t", "P"], [grid.times, result.p_ab],
+        config,
     )
     io.write_columns_csv(
-        args.out_dir / f"P{target}{target}.csv", ["t", "P"], [grid.times, p_bb], config
+        args.out_dir / f"P{target}{target}.csv", ["t", "P"], [grid.times, result.p_bb],
+        config,
     )
     io.write_columns_csv(args.out_dir / "F.csv", ["t", "F"], [grid.times, result.F], config)
     payload = {
@@ -212,16 +206,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     io.write_jsonl(args.out_dir / "records.jsonl", [asdict(r) for r in records])
 
-    by_n: dict[int, dict[int, experiments.SweepRecord]] = {}
-    for rec in records:
-        by_n.setdefault(rec.N, {})[rec.S] = rec
+    by_n = experiments.group_by_n(records)
     header = ["N"] + [f"tau_S{s}" for s in s_values]
     full_triple = {0, 1, 2}.issubset(set(s_values))
     if full_triple:
         header += ["d1", "d2", "d2_prime", "d1_over_tau", "d2_over_tau"]
     lines = [io.config_line(config), ",".join(header)]
-    for n in sorted(by_n):
-        group = by_n[n]
+    for n, group in by_n.items():
         row = [str(n)] + [io.fmt(group[s].tau) for s in s_values]
         if full_triple:
             d = experiments.side_chain_deltas(group)

@@ -79,15 +79,7 @@ def entropy_series(series: AmplitudeSeries, coloring: ColorAssignment) -> np.nda
 
 def average_entropy(entropy: np.ndarray, grid: TimeGrid, tau0: float) -> float:
     """Trapezoid time average of the entropy over [0, tau0]."""
-    if not (0.0 < tau0 <= grid.t_end + 1e-12):
-        raise ValidationError(f"tau0={tau0} outside grid span (0, {grid.t_end}]")
     if len(entropy) != grid.n:
         raise ValidationError("entropy series does not match the grid")
-    t = grid.times
-    mask = t <= tau0 + 1e-12
-    tt = t[mask]
-    ee = entropy[mask]
-    if tt[-1] < tau0:
-        tt = np.append(tt, tau0)
-        ee = np.append(ee, np.interp(tau0, t, entropy))
+    tt, ee = grid.up_to(entropy, tau0)
     return float(np.trapezoid(ee, tt) / tau0)

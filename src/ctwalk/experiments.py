@@ -1,7 +1,7 @@
 """Sweep orchestration: cases, side-chain deltas, power-law fit, studies.
 
 A case is one (N, S, offset, walk) pipeline run: build the graph, evolve
-from both ends, deconvolve, find the horizon, take the mean. Sweeps over
+from the target, deconvolve, find the horizon, take the mean. Sweeps over
 many cases are cached on disk keyed by (N, S, offset, walk, dt) so large
 tables rerun incrementally, and independent cases can run in a process
 pool.
@@ -26,9 +26,7 @@ from .first_passage import (
     cumulative_mass,
     deconvolve,
     detect_tau0,
-    extract_first_passage,
-    mean_fpt,
-    reconstruct,
+    first_passage_result,
 )
 from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain_graph
 from .grid import TimeGrid
@@ -76,24 +74,15 @@ def _model_graph(n: int, s: int, offset: int) -> Graph:
     return build_side_chain_graph(SideChainConfig(N=n, S=s, offset=offset))
 
 
-def _quantum_pair(g: Graph, n: int, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    h = quantum.build_hamiltonian(g)
-    p_1n = quantum.transition_probabilities(h, 1, (n,), grid)[0]
-    p_nn = quantum.transition_probabilities(h, n, (n,), grid)[0]
-    return p_1n, p_nn
-
-
-def _classical_pair(g: Graph, n: int, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    rm = classical.build_rate_matrix(g)
-    p_1n = classical.vertex_occupations(rm, 1, (n,), grid)[0]
-    p_nn = classical.vertex_occupations(rm, n, (n,), grid)[0]
-    return p_1n, p_nn
-
-
 def run_pipeline(
-    g: Graph, target: int, walk: str, dt: float, eps: float
+    g: Graph, target: int, walk: str, dt: float, eps: float, start: int = 1
 ) -> tuple[FirstPassageResult, TimeGrid]:
-    """Evolve, deconvolve and integrate one case; grid sizing is automatic.
+    """Evolve, deconvolve and integrate one start -> target case; grid sizing is automatic.
+
+    Each grid takes one series call, from the target: it gives P_bb, and
+    P_ab by symmetry. The quantum propagator of a real symmetric H is
+    symmetric, and the classical walk obeys detailed balance,
+    P_ab(t) deg(a) = P_ba(t) deg(b). The result carries both series.
 
     Classical horizons come from the killed-walk survival function (the
     F-mass crossing is used when it happens on the grid); quantum horizons
@@ -104,43 +93,46 @@ def run_pipeline(
         # epsilon horizon from the exact killed-walk survival; the quadrature
         # mass of the discrete F saturates ~1e-6 short of one at dt = 0.01,
         # so its own epsilon crossing can sit far beyond the true one
-        t_eps = classical.survival_horizon(g, target, eps=eps)
-        grid = TimeGrid.from_span(t_eps * 1.05 + 4.0, dt)
-        p_1n, p_nn = _classical_pair(g, target, grid)
-        F = deconvolve(p_1n, p_nn, grid)
-        if 1.0 - cumulative_mass(F, grid)[-1] < eps:
-            tau0 = detect_tau0(F, grid, mode="classical", eps=eps)
-        else:
-            tau0 = t_eps
-        partial = mean_fpt(F, grid, tau0)
-        residual = float(np.max(np.abs(reconstruct(F, p_nn, grid) - p_1n)))
-        return (
-            FirstPassageResult(
-                grid=grid,
-                F=F,
-                tau0=partial.tau0,
-                tau=partial.tau,
-                norm=partial.norm,
-                reconstruction_error=residual,
-            ),
-            grid,
-        )
-    if walk == "quantum":
-        t_end = max(12.0, 0.7 * target + 6.0)
-        for _ in range(MAX_HORIZON_DOUBLINGS):
-            grid = TimeGrid.from_span(t_end, dt)
-            p_1n, p_nn = _quantum_pair(g, target, grid)
-            try:
-                return (
-                    extract_first_passage(p_1n, p_nn, grid, mode="quantum", eps=eps),
-                    grid,
-                )
-            except NoZeroCrossingError:
-                t_end *= 2.0
-        raise NoZeroCrossingError(
-            f"no zero of F within {t_end} time units; giving up"
-        )
-    raise ValidationError(f"walk must be 'classical' or 'quantum', got {walk!r}")
+        t_eps = classical.survival_horizon(g, target, eps=eps, start=start)
+        rm = classical.build_rate_matrix(g)
+        balance = rm.degrees[target - 1] / rm.degrees[start - 1]
+        spans = [t_eps * 1.05 + 4.0]
+
+        def series(grid: TimeGrid) -> np.ndarray:
+            p = classical.vertex_occupations(rm, target, (start, target), grid)
+            p[0] *= balance
+            return p
+
+        def horizon(F: np.ndarray, grid: TimeGrid) -> float:
+            if 1.0 - cumulative_mass(F, grid)[-1] < eps:
+                return detect_tau0(F, grid, mode="classical", eps=eps)
+            return t_eps
+
+    elif walk == "quantum":
+        h = quantum.build_hamiltonian(g)
+        t_first = max(12.0, 0.7 * target + 6.0)
+        spans = [t_first * 2.0**k for k in range(MAX_HORIZON_DOUBLINGS)]
+
+        def series(grid: TimeGrid) -> np.ndarray:
+            return quantum.transition_probabilities(h, target, (start, target), grid)
+
+        def horizon(F: np.ndarray, grid: TimeGrid) -> float:
+            return detect_tau0(F, grid, mode="quantum", eps=eps)
+
+    else:
+        raise ValidationError(f"walk must be 'classical' or 'quantum', got {walk!r}")
+    for span in spans:
+        grid = TimeGrid.from_span(span, dt)
+        p_ab, p_bb = series(grid)
+        F = deconvolve(p_ab, p_bb, grid)
+        try:
+            tau0 = horizon(F, grid)
+        except NoZeroCrossingError:
+            continue
+        return first_passage_result(p_ab, p_bb, F, grid, tau0), grid
+    raise NoZeroCrossingError(
+        f"no zero of F within {2.0 * spans[-1]} time units; giving up"
+    )
 
 
 def run_case(
@@ -242,9 +234,12 @@ def cached_run_case(
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / _cache_name(n, s, offset, walk, dt)
     if path.exists():
-        data = json.loads(path.read_text())
-        if data.get("eps") == eps:
-            return SweepRecord(**data)
+        try:
+            cached = SweepRecord(**json.loads(path.read_text()))
+        except (ValueError, TypeError):  # corrupt entry: recompute and rewrite
+            cached = None
+        if cached is not None and cached.eps == eps:
+            return cached
     record = run_case(n, s, offset, walk, dt, eps)
     _atomic_write_text(path, json.dumps(asdict(record)))
     return record
@@ -267,21 +262,30 @@ def sweep(
     """All (N, S) cases at a fixed offset, optionally in parallel.
 
     The output order is the deterministic product order of ns and s_values,
-    independent of scheduling.
+    independent of scheduling. The pool never outgrows the CPU count or the
+    number of cases.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     cases = [(n, s, offset, walk, dt, eps, cache_dir) for n in ns for s in s_values]
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(cases))
+    if workers <= 1:
         return [_case_worker(c) for c in cases]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_case_worker, cases))
+
+
+def group_by_n(records: list[SweepRecord]) -> dict[int, dict[int, SweepRecord]]:
+    """Sweep records keyed by N (ascending), then by S."""
+    by_n: dict[int, dict[int, SweepRecord]] = {}
+    for rec in records:
+        by_n.setdefault(rec.N, {})[rec.S] = rec
+    return dict(sorted(by_n.items()))
 
 
 def delta_table(records: list[SweepRecord]) -> dict[int, Deltas]:
     """Group a sweep by N and reduce each S-triple to its deltas."""
-    by_n: dict[int, dict[int, SweepRecord]] = {}
-    for rec in records:
-        by_n.setdefault(rec.N, {})[rec.S] = rec
-    return {n: side_chain_deltas(group) for n, group in sorted(by_n.items())}
+    return {n: side_chain_deltas(group) for n, group in group_by_n(records).items()}
 
 
 def speedup_fit(records: list[SweepRecord]) -> PowerLawFit:
@@ -289,13 +293,9 @@ def speedup_fit(records: list[SweepRecord]) -> PowerLawFit:
 
     Needs only the S = 0 and S = 1 cases of each N.
     """
-    by_n: dict[int, dict[int, SweepRecord]] = {}
-    for rec in records:
-        by_n.setdefault(rec.N, {})[rec.S] = rec
     ns = []
     ratios = []
-    for n in sorted(by_n):
-        group = by_n[n]
+    for n, group in group_by_n(records).items():
         if 0 in group and 1 in group:
             ns.append(n)
             ratios.append((group[1].tau - group[0].tau) / group[0].tau)

@@ -26,7 +26,7 @@ first peak for the quantum walk.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,10 @@ DIRECT_SOLVE_MAX = 4096
 
 @dataclass(frozen=True, eq=False)
 class FirstPassageResult:
-    """F series with its horizon, mean, normalization and round-trip residual."""
+    """F series with its horizon, mean, normalization and round-trip residual.
+
+    p_ab and p_bb are the occupation series F was solved from, when known.
+    """
 
     grid: TimeGrid
     F: np.ndarray
@@ -52,6 +55,8 @@ class FirstPassageResult:
     tau: float
     norm: float
     reconstruction_error: float | None = None
+    p_ab: np.ndarray | None = None
+    p_bb: np.ndarray | None = None
 
 
 def _initial_rate(p_ab: np.ndarray, dt: float) -> float:
@@ -256,20 +261,21 @@ def mean_fpt(F: np.ndarray, grid: TimeGrid, tau0: float) -> FirstPassageResult:
     F = np.asarray(F, dtype=float)
     if len(F) != grid.n:
         raise GridMismatchError(f"series length {len(F)} != grid length {grid.n}")
-    if not (0.0 < tau0 <= grid.t_end + 1e-12):
-        raise ValidationError(f"tau0={tau0} outside grid span (0, {grid.t_end}]")
-    t = grid.times
-    mask = t <= tau0 + 1e-12
-    tt = t[mask]
-    ff = F[mask]
-    if tt[-1] < tau0:
-        tt = np.append(tt, tau0)
-        ff = np.append(ff, np.interp(tau0, t, F))
+    tt, ff = grid.up_to(F, tau0)
     norm = float(np.trapezoid(ff, tt))
     if abs(norm) <= 1e-12:
         raise ZeroNormError(f"F integrates to {norm}; mean undefined")
     tau = float(np.trapezoid(tt * ff, tt)) / norm
     return FirstPassageResult(grid=grid, F=F, tau0=float(tau0), tau=tau, norm=norm)
+
+
+def first_passage_result(
+    p_ab: np.ndarray, p_bb: np.ndarray, F: np.ndarray, grid: TimeGrid, tau0: float
+) -> FirstPassageResult:
+    """Mean on [0, tau0] and round-trip residual of a solved F, with its series."""
+    result = mean_fpt(F, grid, tau0)
+    residual = float(np.max(np.abs(reconstruct(F, p_bb, grid) - p_ab)))
+    return replace(result, reconstruction_error=residual, p_ab=p_ab, p_bb=p_bb)
 
 
 def extract_first_passage(
@@ -283,13 +289,4 @@ def extract_first_passage(
     """Full deconvolve -> tau0 -> mean pipeline with a round-trip residual."""
     F = deconvolve(p_ab, p_bb, grid, method=method)
     tau0 = detect_tau0(F, grid, mode=mode, eps=eps)
-    result = mean_fpt(F, grid, tau0)
-    residual = float(np.max(np.abs(reconstruct(F, p_bb, grid) - p_ab)))
-    return FirstPassageResult(
-        grid=grid,
-        F=F,
-        tau0=result.tau0,
-        tau=result.tau,
-        norm=result.norm,
-        reconstruction_error=residual,
-    )
+    return first_passage_result(p_ab, p_bb, F, grid, tau0)

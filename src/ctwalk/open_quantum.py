@@ -207,15 +207,13 @@ def complement_flux(
     raw[0] = -(sigma[1] - sigma[0]) / dt
     raw[-1] = -(sigma[-1] - sigma[-2]) / dt
     tau0 = detect_tau0(raw, grid, mode="quantum")
-    t = grid.times
-    mask = t <= tau0
-    tt = np.append(t[mask], tau0)
-    ff = np.append(raw[mask], np.interp(tau0, t, raw))
+    tt, ff = grid.up_to(raw, tau0)
     a = float(np.trapezoid(ff, tt))
     if abs(a) < 1e-9:
         raise DegenerateNormalizationError(
             f"sigma decayed by {a}; no first-passage signal"
         )
+    t = grid.times
     drop = float(sigma[0] - np.interp(tau0, t, sigma))
     rebound = sigma - np.minimum.accumulate(sigma)
     rec_idx = np.nonzero(rebound > 0.01 * (sigma[0] - sigma.min()))[0]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
-from .grid import TimeGrid
+from .grid import TimeGrid, exp_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +80,5 @@ def transition_probabilities(
         if not (1 <= v <= n):
             raise ValidationError(f"target vertex {v} out of range 1..{n}")
     lam, u = np.linalg.eigh(h)
-    w = u[start - 1, :]
-    t = grid.times
-    amps = np.zeros((len(targets), grid.n), dtype=complex)
-    for j in range(n):
-        ph = np.exp(-1j * lam[j] * t)
-        for i, v in enumerate(targets):
-            amps[i] += (u[v - 1, j] * w[j]) * ph
-    return np.abs(amps) ** 2
+    idx = np.array(targets, dtype=int) - 1
+    return np.abs(exp_sum(-1j * lam, u[idx, :] * u[start - 1, :], grid)) ** 2

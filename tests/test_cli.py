@@ -48,6 +48,17 @@ def test_simulate_custom_graph(tmp_path):
     assert (tmp_path / "P14.csv").exists()
 
 
+def test_simulate_custom_graph_honours_start(tmp_path):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("n=5\n1 2\n2 3\n3 4\n4 5\n")
+    code = run(["simulate", "--graph-file", graph_file, "--walk", "classical",
+                "--start", 2, "--out-dir", tmp_path])
+    assert code == 0
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["tau"] == pytest.approx(15.0, rel=1e-3)  # (5-1)^2 - (2-1)^2
+    assert (tmp_path / "P25.csv").exists()
+
+
 def test_simulate_full_series_flag(tmp_path):
     code = run(["simulate", "--N", 3, "--walk", "quantum", "--full-series",
                 "--out-dir", tmp_path])
@@ -87,6 +98,29 @@ def test_sweep_outputs_and_cache_determinism(tmp_path):
     assert run(args + ["--out-dir", out2]) == 0
     for name in ("records.jsonl", "summary.csv", "fit.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", "wrong-keys", "not-a-record"])
+def test_sweep_recomputes_corrupt_cache_entry(tmp_path, corrupt):
+    args = ["sweep", "--walk", "quantum", "--N-range", "3:5:2", "--S-set", "0,1",
+            "--cache-dir", tmp_path / "cache"]
+    assert run(args + ["--out-dir", tmp_path / "cold"]) == 0
+    entry = tmp_path / "cache" / "N3_S0_off0_quantum_dt0.01.json"
+    text = entry.read_text()
+    entry.write_text({"truncated": text[: len(text) // 2],
+                      "wrong-keys": '{"N": 3, "S": 0, "eps": 1e-06, "tau": 1.0}',
+                      "not-a-record": "[1, 2]"}[corrupt])
+    assert run(args + ["--out-dir", tmp_path / "warm"]) == 0
+    cold = (tmp_path / "cold" / "records.jsonl").read_bytes()
+    assert (tmp_path / "warm" / "records.jsonl").read_bytes() == cold
+    assert entry.read_text() == text  # rewritten with the recomputed record
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    code = run(["sweep", "--N-range", "3:5:2", "--jobs", jobs, "--out-dir", tmp_path])
+    assert code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_sweep_classical_summary_orders_taus(tmp_path):

@@ -5,15 +5,21 @@ import pytest
 
 from ctwalk import (
     ValidationError,
+    build_hamiltonian,
+    build_rate_matrix,
     cached_run_case,
     delta_table,
     entropy_study,
     fit_power_law,
+    from_edge_list_text,
+    mfpt_linear_solve,
     offset_study,
     run_case,
     side_chain_deltas,
     speedup_fit,
     sweep,
+    transition_probabilities,
+    vertex_occupations,
 )
 import ctwalk.experiments as experiments
 
@@ -42,6 +48,29 @@ def test_nine_path_quantum_case_regression():
     assert rec.tau0 == pytest.approx(6.3936, abs=2e-3)
     assert rec.norm == pytest.approx(1.8791, abs=2e-3)
     assert rec.reconstruction_error < 1e-4
+
+
+# vertex 1 carries a leaf, so deg(1) = 2 while the target 4 has degree 1
+UNEVEN = "n=5\n1 2\n2 3\n3 4\n1 5\n"
+
+
+def test_classical_pipeline_series_use_detailed_balance():
+    g = from_edge_list_text(UNEVEN)
+    result, grid = experiments.run_pipeline(g, 4, "classical", 0.01, 1e-6)
+    rm = build_rate_matrix(g)
+    assert np.allclose(result.p_ab, vertex_occupations(rm, 1, (4,), grid)[0],
+                       rtol=0.0, atol=1e-13)
+    assert np.array_equal(result.p_bb, vertex_occupations(rm, 4, (4,), grid)[0])
+    assert result.tau == pytest.approx(mfpt_linear_solve(g, 1, 4), rel=1e-3)
+
+
+def test_quantum_pipeline_series_match_direct_evaluation():
+    g = from_edge_list_text(UNEVEN)
+    result, grid = experiments.run_pipeline(g, 4, "quantum", 0.01, 1e-6, start=5)
+    h = build_hamiltonian(g)
+    direct = transition_probabilities(h, 5, (4,), grid)[0]
+    assert np.allclose(result.p_ab, direct, rtol=0.0, atol=1e-13)
+    assert np.array_equal(result.p_bb, transition_probabilities(h, 4, (4,), grid)[0])
 
 
 def test_unknown_walk_rejected():
@@ -139,6 +168,37 @@ def test_parallel_sweep_matches_serial(tmp_path):
     serial = sweep([3, 5], [0], 0, "quantum")
     parallel = sweep([3, 5], [0], 0, "quantum", jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [
+    (64, 3, 3),     # capped by the CPU count
+    (64, 8, 4),     # capped by the number of cases
+    (2, 8, 2),      # as asked
+    (64, None, None),  # unknown CPU count: one worker, no pool
+])
+def test_sweep_pool_size_is_capped(monkeypatch, jobs, cpus, workers):
+    sizes = []
+
+    class RecordingPool:
+        """Serial stand-in for the process pool; records the size it was asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    records = sweep([3, 5], [0, 1], 0, "quantum", jobs=jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert [(r.N, r.S) for r in records] == [(3, 0), (3, 1), (5, 0), (5, 1)]
 
 
 def test_speedup_fit_on_small_sweep():
