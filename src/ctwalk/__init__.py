@@ -2,8 +2,8 @@
 
 Builds the model graphs, evolves both walk types exactly, extracts
 first-passage densities by Volterra deconvolution, and provides the
-coherence diagnostics and ancillary absorber estimators used in the
-accompanying experiment scripts.
+coherence diagnostics and ancillary absorber estimators. The ``ctwalk``
+command line (``cli``) drives every experiment.
 """
 
 from .classical import (

@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph-file", type=Path, default=None,
         help="edge-list file overriding the chain model (first line n=<count>)",
     )
-    p_sim.add_argument("--start", type=int, default=None)
-    p_sim.add_argument("--target", type=int, default=None)
+    p_sim.add_argument("--start", type=int, default=None, help="default 1")
+    p_sim.add_argument("--target", type=int, default=None,
+                       help="default N, or the last vertex of --graph-file")
     p_sim.add_argument(
         "--full-series", action="store_true",
         help="also write the per-vertex occupation series",
@@ -137,17 +138,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.graph_file is not None:
         g = from_edge_list_text(args.graph_file.read_text())
-        start = args.start if args.start is not None else 1
-        target = args.target if args.target is not None else g.n
-        g.check_vertex(start)
-        g.check_vertex(target)
-        label = {"graph": str(args.graph_file), "start": start, "target": target}
+        config, last = {"graph": str(args.graph_file)}, g.n
     else:
-        cfg = SideChainConfig(N=args.N, S=args.S, offset=args.offset)
-        g = build_side_chain_graph(cfg)
-        start, target = 1, args.N
-        label = _model_config(args)
-    config = {**label, "walk": args.walk}
+        g = build_side_chain_graph(SideChainConfig(N=args.N, S=args.S, offset=args.offset))
+        config, last = _model_config(args), args.N
+    start = 1 if args.start is None else args.start
+    target = last if args.target is None else args.target
+    g.check_vertex(start)
+    g.check_vertex(target)
+    if start == target:
+        raise ValidationError(f"start and target must differ, both are {start}")
+    config.update(start=start, target=target, walk=args.walk)
     result, grid = experiments.run_pipeline(
         g, target, args.walk, args.dt, args.epsilon, start=start
     )
@@ -182,12 +183,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValidationError(f"{flag} takes integers, got {text!r}") from exc
+
+
 def _parse_range(text: str) -> list[int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ValidationError(f"--N-range must be start:stop[:step], got {text!r}")
-    start, stop = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
+    start, stop, *rest = [_int(x, "--N-range") for x in parts]
+    step = rest[0] if rest else 1
     if step <= 0 or stop < start:
         raise ValidationError(f"bad --N-range {text!r}")
     return list(range(start, stop + 1, step))
@@ -197,7 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = args.cache_dir if args.cache_dir is not None else args.out_dir / "cache"
     ns = _parse_range(args.N_range)
-    s_values = sorted({int(x) for x in args.S_set.split(",") if x.strip() != ""})
+    s_values = sorted({_int(x, "--S-set") for x in args.S_set.split(",") if x.strip() != ""})
     config = {"walk": args.walk, "N_range": args.N_range, "S_set": args.S_set,
               "offset": args.offset, "dt": args.dt, "epsilon": args.epsilon}
     records = experiments.sweep(
@@ -348,11 +356,8 @@ def _inject_config_defaults(argv: list[str]) -> list[str]:
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise ValidationError("--config needs a file argument")
-    path = Path(argv[idx + 1])
-    if not path.exists():
-        raise ValidationError(f"config file {path} does not exist")
     injected: list[str] = []
-    for raw in path.read_text().splitlines():
+    for raw in Path(argv[idx + 1]).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -374,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file or directory named on the command line
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

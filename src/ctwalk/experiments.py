@@ -32,6 +32,7 @@ from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain
 from .grid import TimeGrid
 
 MAX_HORIZON_DOUBLINGS = 8
+ENTROPY_S_VALUES = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -353,11 +354,10 @@ def entropy_study(
     offset: int = 0,
     dt: float = 0.01,
     eps: float = 1e-6,
-    s_values: tuple[int, ...] = (0, 1, 2),
 ) -> EntropyStudy:
-    """Entropy series for each S, each on the horizon of its own quantum F."""
+    """Entropy series for each S in ENTROPY_S_VALUES, each on its own quantum horizon."""
     cases: dict[int, EntropyCase] = {}
-    for s in s_values:
+    for s in ENTROPY_S_VALUES:
         g = _model_graph(n, s, offset)
         result, _ = run_pipeline(g, n, "quantum", dt, eps)
         grid = TimeGrid.from_span(result.tau0, dt)

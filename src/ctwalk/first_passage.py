@@ -40,6 +40,8 @@ from .errors import (
 from .grid import TimeGrid
 
 DIRECT_SOLVE_MAX = 4096
+# local maxima of F below this fraction of its global maximum are noise
+PEAK_FRACTION = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +195,11 @@ def detect_tau0(
     grid: TimeGrid,
     mode: str,
     eps: float = 1e-6,
-    peak_fraction: float = 0.01,
 ) -> float:
     """Integration horizon for the mean first-passage time.
 
     Quantum mode: the first time F crosses zero after its first genuine
-    peak (local maxima below peak_fraction of the global maximum are
+    peak (local maxima below PEAK_FRACTION of the global maximum are
     treated as noise), located by linear interpolation between the
     bracketing grid points. Raises NoZeroCrossingError when F stays
     positive; callers should extend the grid.
@@ -215,7 +216,7 @@ def detect_tau0(
         fmax = float(F.max())
         if fmax <= 0.0:
             raise NoZeroCrossingError("F has no positive values; no peak to anchor on")
-        thresh = peak_fraction * fmax
+        thresh = PEAK_FRACTION * fmax
         interior = np.nonzero(
             (F[1:-1] >= thresh) & (F[1:-1] >= F[:-2]) & (F[1:-1] > F[2:])
         )[0]

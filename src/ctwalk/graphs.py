@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,19 +50,22 @@ class Graph:
         if not (1 <= v <= self.n):
             raise UnknownVertexError(f"vertex {v} not in graph with {self.n} vertices")
 
+    @cached_property
+    def _neighbor_map(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbors of every vertex; entry v - 1 belongs to vertex v."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u - 1].append(v)
+            adj[v - 1].append(u)
+        return tuple(tuple(sorted(a)) for a in adj)
+
     def degree(self, v: int) -> int:
         self.check_vertex(v)
-        return sum(1 for e in self.edges if v in e)
+        return len(self._neighbor_map[v - 1])
 
     def neighbors(self, v: int) -> list[int]:
         self.check_vertex(v)
-        out = []
-        for u, w in self.edges:
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return sorted(out)
+        return list(self._neighbor_map[v - 1])
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix."""
@@ -79,13 +83,9 @@ class Graph:
             return True
         seen = {1}
         queue = deque([1])
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
         while queue:
             u = queue.popleft()
-            for w in adj[u]:
+            for w in self._neighbor_map[u - 1]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -200,16 +200,12 @@ def bipartite_coloring(g: Graph) -> ColorAssignment:
     Raises NotBipartiteError when an odd cycle is present (possible for
     ring decorations of odd size).
     """
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
     colors = [0] * g.n
     colors[0] = 1
     queue = deque([1])
     while queue:
         u = queue.popleft()
-        for w in adj[u]:
+        for w in g.neighbors(u):
             if colors[w - 1] == 0:
                 colors[w - 1] = 3 - colors[u - 1]
                 queue.append(w)
@@ -243,7 +239,10 @@ def from_edge_list_text(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise ValidationError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValidationError(f"bad edge line {ln!r}") from exc
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValidationError(f"edge ({u},{v}) outside vertex range 1..{n}")
         edges.add(_normalize_edge(u, v))

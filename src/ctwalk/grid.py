@@ -16,6 +16,11 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _check_positive(name: str, x: float) -> None:
+    if not (x > 0.0) or not math.isfinite(x):
+        raise ValidationError(f"{name} must be positive and finite, got {x}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k * dt for k = 0 .. n - 1."""
@@ -24,16 +29,15 @@ class TimeGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0.0) or not math.isfinite(self.dt):
-            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
+        _check_positive("dt", self.dt)
         if self.n < 2:
             raise ValidationError(f"grid needs at least 2 points, got n={self.n}")
 
     @classmethod
     def from_span(cls, t_end: float, dt: float) -> "TimeGrid":
         """Grid covering [0, t_end] with spacing dt (end point included)."""
-        if t_end <= 0:
-            raise ValidationError(f"t_end must be positive, got {t_end}")
+        _check_positive("t_end", t_end)
+        _check_positive("dt", dt)
         return cls(dt=dt, n=int(math.ceil(t_end / dt)) + 1)
 
     @cached_property

@@ -39,6 +39,7 @@ from .first_passage import detect_tau0
 SIGMA_STEP_TOL = 1e-6
 TRACE_TOL = 1e-6
 MAX_STEP_HALVINGS = 3
+INITIAL_SUBSTEPS = 1
 
 
 @dataclass(frozen=True)
@@ -137,15 +138,14 @@ def evolve_lindblad(
     cfg: LindbladConfig,
     start: int,
     grid: TimeGrid,
-    substeps: int = 1,
 ) -> DensityMatrixSeries:
     """Integrate the dissipative master equation from rho(0) = |start><start|.
 
     The trap potential sits on the sticky vertex (the highest index). The
-    fixed step is validated by halving: integration repeats with twice the
-    substeps until every population changes by less than SIGMA_STEP_TOL and
-    the trace drift stays within TRACE_TOL, with at most MAX_STEP_HALVINGS
-    refinements before giving up.
+    fixed step, dt / INITIAL_SUBSTEPS, is validated by halving: integration
+    repeats with twice the substeps until every population changes by less
+    than SIGMA_STEP_TOL and the trace drift stays within TRACE_TOL, with at
+    most MAX_STEP_HALVINGS refinements before giving up.
     """
     g_sticky.check_vertex(start)
     sticky = g_sticky.n
@@ -153,7 +153,7 @@ def evolve_lindblad(
         raise ValidationError("graph must carry a sticky vertex (attach_sticky_vertex)")
     for v in cfg.jump:
         g_sticky.check_vertex(v)
-    if tuple(sorted(cfg.jump)) not in {tuple(sorted(e)) for e in g_sticky.edges}:
+    if tuple(sorted(cfg.jump)) not in g_sticky.edges:
         raise ValidationError(f"jump pair {cfg.jump} is not an edge of the graph")
     h = build_hamiltonian(g_sticky, potential={sticky: cfg.potential}).astype(complex)
     n = g_sticky.n
@@ -163,6 +163,7 @@ def evolve_lindblad(
     rho0 = np.zeros((n, n), dtype=complex)
     rho0[start - 1, start - 1] = 1.0
 
+    substeps = INITIAL_SUBSTEPS
     values = _rk4_run(h, L, cfg.rate, rho0, grid, substeps)
     for _ in range(MAX_STEP_HALVINGS):
         substeps *= 2

@@ -39,7 +39,7 @@ from ctwalk import (
     sweep,
     transition_probabilities,
 )
-from ctwalk.experiments import run_pipeline
+from ctwalk.experiments import group_by_n, run_pipeline
 
 DT = 0.01
 EPS = 1e-6
@@ -75,13 +75,6 @@ def reference_f():
     return out
 
 
-def _by_n(records):
-    table = {}
-    for rec in records:
-        table.setdefault(rec.N, {})[rec.S] = rec
-    return table
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: power-law reproduction
 # ---------------------------------------------------------------------------
@@ -103,7 +96,7 @@ def test_criterion_1_power_law(quantum_records):
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_quantum_signs(quantum_records):
-    table = _by_n(quantum_records)
+    table = group_by_n(quantum_records)
     d1 = {n: table[n][1].tau - table[n][0].tau for n in ODD_N}
     d2p = {n: table[n][2].tau - table[n][1].tau for n in ODD_N}
     ok = all(d1[n] < 0.0 for n in ODD_N) and all(d2p[n] > 0.0 for n in ODD_N)
@@ -118,7 +111,7 @@ def test_criterion_2_quantum_signs(quantum_records):
 
 def test_speedup_ratio_shrinks_with_n(quantum_records):
     """|d1/tau| decreasing in N, as a negative-exponent power law requires."""
-    table = _by_n(quantum_records)
+    table = group_by_n(quantum_records)
     ratios = [
         abs(table[n][1].tau - table[n][0].tau) / table[n][0].tau for n in ODD_N
     ]
@@ -130,7 +123,7 @@ def test_speedup_ratio_shrinks_with_n(quantum_records):
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_classical_ordering(classical_records):
-    table = _by_n(classical_records)
+    table = group_by_n(classical_records)
     ok = all(
         table[n][2].tau > table[n][1].tau > table[n][0].tau for n in ODD_N
     )

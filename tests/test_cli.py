@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ctwalk import mfpt_linear_solve, path_graph
 from ctwalk.cli import main
 
 
@@ -57,6 +58,46 @@ def test_simulate_custom_graph_honours_start(tmp_path):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["tau"] == pytest.approx(15.0, rel=1e-3)  # (5-1)^2 - (2-1)^2
     assert (tmp_path / "P25.csv").exists()
+
+
+def test_simulate_chain_honours_start_and_target(tmp_path):
+    code = run(["simulate", "--N", 5, "--walk", "classical", "--start", 3,
+                "--target", 4, "--out-dir", tmp_path])
+    assert code == 0
+    doc = json.loads((tmp_path / "result.json").read_text())
+    oracle = mfpt_linear_solve(path_graph(5), 3, 4)
+    assert oracle == pytest.approx(5.0, rel=1e-12)  # (4-1)^2 - (3-1)^2
+    assert doc["tau"] == pytest.approx(oracle, rel=1e-3)
+    assert doc["config"]["start"] == 3 and doc["config"]["target"] == 4
+    for name in ("P34.csv", "P44.csv"):
+        assert "start=3 target=4" in (tmp_path / name).read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("walk", ["classical", "quantum"])
+def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
+    code = run(["simulate", "--N", 5, "--walk", walk, "--start", 4, "--target", 4,
+                "--out-dir", tmp_path])
+    assert code == 2
+    assert "must differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--graph-file", "{tmp}/missing.txt"],
+    ["simulate", "--graph-file", "{tmp}/bad_edge.txt"],
+    ["simulate", "--config", "{tmp}"],
+    ["sweep", "--N-range", "a:b"],
+    ["sweep", "--S-set", "x,y"],
+    ["simulate", "--dt", "0"],
+    ["simulate", "--dt", "nan"],
+], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
+        "S-set-not-int", "dt-zero", "dt-nan"])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
+    code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_simulate_full_series_flag(tmp_path):
