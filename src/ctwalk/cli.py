@@ -135,7 +135,6 @@ def _model_config(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.graph_file is not None:
         g = from_edge_list_text(args.graph_file.read_text())
         config, last = {"graph": str(args.graph_file)}, g.n
@@ -152,6 +151,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result, grid = experiments.run_pipeline(
         g, target, args.walk, args.dt, args.epsilon, start=start
     )
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.full_series and args.walk == "quantum":
         amp = quantum.evolve_schrodinger(quantum.build_hamiltonian(g), start, grid)
         io.write_amplitude_series_csv(args.out_dir / "amplitudes.csv", amp, config)
@@ -202,7 +202,6 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = args.cache_dir if args.cache_dir is not None else args.out_dir / "cache"
     ns = _parse_range(args.N_range)
     s_values = sorted({_int(x, "--S-set") for x in args.S_set.split(",") if x.strip() != ""})
@@ -212,6 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ns, s_values, args.offset, args.walk,
         dt=args.dt, eps=args.epsilon, cache_dir=cache_dir, jobs=args.jobs,
     )
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     io.write_jsonl(args.out_dir / "records.jsonl", [asdict(r) for r in records])
 
     by_n = experiments.group_by_n(records)
@@ -243,9 +243,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ancillary(args: argparse.Namespace) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.S != 0:
         raise ValidationError("ancillary estimators are validated for S=0 models only")
+    if args.method == "sticky" and args.lam < 0:
+        raise ValidationError(f"lambda must be >= 0, got {args.lam}")
     cfg = SideChainConfig(N=args.N, S=0, offset=args.offset)
     g = build_side_chain_graph(cfg)
     target = args.N
@@ -255,8 +256,6 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
     config = {"N": args.N, "method": args.method, "dt": args.dt,
               "sigma_includes_target": args.sigma_includes_target}
     if args.method == "sticky":
-        if args.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {args.lam}")
         sticky = attach_sticky_vertex(g, target)
         jump = (target, sticky.n) if args.jump_direction == "as-printed" else (sticky.n, target)
         lcfg = LindbladConfig(rate=args.lam, potential=args.V, jump=jump)
@@ -270,6 +269,7 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
                                  tau0_reference=ref.tau0)
         config.update({"M": args.M})
     err = overlay_l2_error(est, ref.F, ref_grid, ref.tau0)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     io.write_columns_csv(
         args.out_dir / "sigma_F.csv", ["t", "sigma", "F"],
         [grid.times, est.sigma, est.F], config,
@@ -293,7 +293,6 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {args.n_traj}")
     cfg = SideChainConfig(N=args.N, S=args.S, offset=args.offset)
@@ -307,6 +306,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     )
     result, grid = experiments.run_pipeline(g, target, "classical", args.dt, args.epsilon)
     l1 = histogram_density_l1(hist, grid.times, result.F)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     io.write_columns_csv(
         args.out_dir / "histogram.csv",
         ["t_left", "t_right", "density"],
@@ -327,9 +327,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     study = experiments.entropy_study(args.N, offset=args.offset, dt=args.dt,
                                       eps=args.epsilon)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     for s, case in sorted(study.cases.items()):
         config = {"N": args.N, "S": s, "offset": args.offset, "dt": args.dt}
         io.write_columns_csv(

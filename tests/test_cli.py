@@ -1,8 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
-from ctwalk import mfpt_linear_solve, path_graph
+from ctwalk import (
+    SideChainConfig,
+    build_side_chain_graph,
+    experiments,
+    mfpt_linear_solve,
+    path_graph,
+)
 from ctwalk.cli import main
 
 
@@ -22,6 +29,13 @@ def test_simulate_writes_contracted_files(tmp_path):
     first = (tmp_path / "F.csv").read_text().splitlines()
     assert first[0].startswith("# config:")
     assert first[1] == "t,F"
+    g = build_side_chain_graph(SideChainConfig(N=9, S=1))
+    result, grid = experiments.run_pipeline(g, 9, "quantum", 0.01, 1e-6)
+    for name, series in (("P19.csv", result.p_ab), ("P99.csv", result.p_bb),
+                         ("F.csv", result.F)):
+        t, values = np.loadtxt(tmp_path / name, delimiter=",", skiprows=2, unpack=True)
+        np.testing.assert_array_equal(t, grid.times, err_msg=name)
+        np.testing.assert_array_equal(values, series, err_msg=name)
 
 
 def test_simulate_rejects_short_chain(tmp_path, capsys):
@@ -89,8 +103,10 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["sweep", "--S-set", "x,y"],
     ["simulate", "--dt", "0"],
     ["simulate", "--dt", "nan"],
+    ["montecarlo", "--n-traj", "0"],
+    ["ancillary", "--method", "sticky", "--lambda", "-1"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
-        "S-set-not-int", "dt-zero", "dt-nan"])
+        "S-set-not-int", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
     code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])
@@ -98,6 +114,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_full_series_flag(tmp_path):

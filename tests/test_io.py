@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ctwalk import TimeGrid, build_rate_matrix, evolve_master, path_graph
+from ctwalk import TimeGrid, build_rate_matrix, evolve_master, io, path_graph
 from ctwalk.io import (
     config_line,
     fmt,
@@ -39,6 +39,43 @@ def test_columns_csv_rejects_ragged(tmp_path):
     with pytest.raises(ValueError):
         write_columns_csv(tmp_path / "bad.csv", ["a", "b"],
                           [np.zeros(3), np.zeros(2)], {})
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def _per_cell_reference(header, columns, config):
+    """The writer's output formatted one cell at a time with fmt."""
+    lines = [config_line(config), ",".join(header)]
+    lines += [",".join(fmt(float(c[i])) for c in columns) for i in range(len(columns[0]))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("blocks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 1)],
+                         ids=["header-only", "1", "block-1", "block", "block+1", "3block+1"])
+@pytest.mark.parametrize("width", [2, 7, 11])
+def test_columns_csv_matches_per_cell_format(tmp_path, monkeypatch, blocks, extra, width):
+    monkeypatch.setattr(io, "BLOCK_CELLS", 32)
+    rows = blocks * (32 // width) + extra  # 16, 4 and 2 rows per block
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308,
+                        -1.7976931348623157e308, 2.2250738585072014e-308, 3.0, -12.0,
+                        1e16, 1e17, 0.01, 0.03, 0.1 + 0.2, 1 / 3])
+    rng = np.random.default_rng([rows, width])
+    bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64)
+    cplx = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    pool = [
+        np.resize(special, rows),
+        bits,
+        np.arange(rows),  # int column
+        rng.normal(size=rows).astype(np.float32),
+        cplx.real,  # strided views
+        cplx.imag,
+        np.arange(rows) * 0.01,
+    ]
+    columns = [pool[j % len(pool)] for j in range(width)]
+    header = [f"c{j}" for j in range(width)]
+    config = {"N": 9, "walk": "quantum"}
+    path = tmp_path / "block.csv"
+    write_columns_csv(path, header, columns, config)
+    assert path.read_text() == _per_cell_reference(header, columns, config)
 
 
 def test_probability_series_header(tmp_path):
