@@ -1,7 +1,8 @@
 """Continuous-time classical and quantum walks on chains with side vertices.
 
 Builds the model graphs, evolves both walk types exactly, extracts
-first-passage densities by Volterra deconvolution, and provides the
+first-passage densities from the renewal equation (in closed form for
+the classical walk, by Volterra deconvolution otherwise), and provides the
 coherence diagnostics and ancillary absorber estimators. The ``ctwalk``
 command line (``cli``) drives every experiment.
 """

@@ -95,6 +95,18 @@ def vertex_occupations(
     Memory stays O(n_times) per requested vertex, which matters for the long
     classical horizons (millions of grid points).
     """
+    return exp_sum(*occupation_modes(rm, start, targets), grid)
+
+
+def occupation_modes(
+    rm: RateMatrix, start: int, targets: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates lam and coefficient rows c of p_v(t) = sum_j c[i, j] exp(lam_j t), v = targets[i].
+
+    From the eigenpairs of the symmetric form. Called from a target b with
+    targets (a, b), the rows are P_ba and P_bb; P_bb's coefficients are
+    u_bj^2 >= 0.
+    """
     _check_start(rm, start)
     for v in targets:
         if not (1 <= v <= rm.n):
@@ -103,7 +115,7 @@ def vertex_occupations(
     dh = np.sqrt(rm.degrees)
     w = u[start - 1, :] / dh[start - 1]
     idx = np.array(targets, dtype=int) - 1
-    return exp_sum(lam, dh[idx, None] * u[idx, :] * w, grid)
+    return lam, dh[idx, None] * u[idx, :] * w
 
 
 def stationary_distribution(rm: RateMatrix) -> np.ndarray:

@@ -27,6 +27,7 @@ from .first_passage import (
     deconvolve,
     detect_tau0,
     first_passage_result,
+    solve_exp_sum,
 )
 from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain_graph
 from .grid import TimeGrid
@@ -78,13 +79,15 @@ def _model_graph(n: int, s: int, offset: int) -> Graph:
 def run_pipeline(
     g: Graph, target: int, walk: str, dt: float, eps: float, start: int = 1
 ) -> tuple[FirstPassageResult, TimeGrid]:
-    """Evolve, deconvolve and integrate one start -> target case; grid sizing is automatic.
+    """Evolve, solve for F and integrate one start -> target case; grid sizing is automatic.
 
     Each grid takes one series call, from the target: it gives P_bb, and
     P_ab by symmetry. The quantum propagator of a real symmetric H is
     symmetric, and the classical walk obeys detailed balance,
     P_ab(t) deg(a) = P_ba(t) deg(b). The result carries both series.
 
+    The classical F is the closed-form solve over the series' shared
+    rates, with F(0) the exact hop rate; the quantum F is deconvolved.
     Classical horizons come from the killed-walk survival function (the
     F-mass crossing is used when it happens on the grid); quantum horizons
     start near the ballistic crossing time and double until the zero of F
@@ -97,12 +100,19 @@ def run_pipeline(
         t_eps = classical.survival_horizon(g, target, eps=eps, start=start)
         rm = classical.build_rate_matrix(g)
         balance = rm.degrees[target - 1] / rm.degrees[start - 1]
+        rates, coefs = classical.occupation_modes(rm, target, (start, target))
+        coefs[0] *= balance
+        # F(0) is the hop rate start -> target, exactly 0 unless they are adjacent
+        f0 = float(rm.matrix[target - 1, start - 1])
         spans = [t_eps * 1.05 + 4.0]
 
         def series(grid: TimeGrid) -> np.ndarray:
             p = classical.vertex_occupations(rm, target, (start, target), grid)
             p[0] *= balance
             return p
+
+        def solve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
+            return solve_exp_sum(rates, coefs, grid, f0)
 
         def horizon(F: np.ndarray, grid: TimeGrid) -> float:
             if 1.0 - cumulative_mass(F, grid)[-1] < eps:
@@ -117,6 +127,8 @@ def run_pipeline(
         def series(grid: TimeGrid) -> np.ndarray:
             return quantum.transition_probabilities(h, target, (start, target), grid)
 
+        solve = deconvolve
+
         def horizon(F: np.ndarray, grid: TimeGrid) -> float:
             return detect_tau0(F, grid, mode="quantum", eps=eps)
 
@@ -125,7 +137,7 @@ def run_pipeline(
     for span in spans:
         grid = TimeGrid.from_span(span, dt)
         p_ab, p_bb = series(grid)
-        F = deconvolve(p_ab, p_bb, grid)
+        F = solve(p_ab, p_bb, grid)
         try:
             tau0 = horizon(F, grid)
         except NoZeroCrossingError:

@@ -7,15 +7,22 @@ the renewal relation
 
 a first-kind Volterra equation with kernel value one on the diagonal
 (P_bb(0) = 1). Discretized with the product trapezoid rule on a uniform
-grid it becomes a lower-triangular Toeplitz system, solved either by
-forward substitution or, for long grids, by a Newton power-series
-reciprocal with FFT convolutions (identical solution, O(T log T)).
+grid it becomes a lower-triangular Toeplitz system. When both series are
+exponential sums over the same real rates (the classical walk),
+solve_exp_sum gives its solution in closed form, O(modes^3 + T modes).
+For general series, deconvolve uses forward substitution or, for long
+grids, a Newton power-series reciprocal with FFT convolutions (identical
+solution, O(T log T)); it is also the reference the closed form is tested
+against. reconstruct, the round-trip check, is an FFT convolution and so
+independent of either solver.
 
-The value at t = 0 is taken from the initial slope of P_ab: a three-point
-forward difference of P_ab at the origin. That slope is exactly zero
-whenever start and target are not adjacent (every chain case with N >= 3,
-and all quantum cases), matching the F(0) = 0 convention; for adjacent
-pairs it supplies the correct nonzero limit.
+solve_exp_sum takes F(0) from its caller; the classical walk passes the
+exact hop rate. deconvolve takes it from the initial slope of P_ab: a
+three-point forward difference of P_ab at the origin. That slope is
+exactly zero whenever start and target are not adjacent (every chain case
+with N >= 3, and all quantum cases), matching the F(0) = 0 convention; for
+adjacent pairs it supplies the nonzero limit, unless it is below dt and
+snapped to zero.
 
 The mean first-passage time is the normalized first moment of F on
 [0, tau0], where tau0 is infinity (in practice an epsilon cutoff of the
@@ -37,7 +44,7 @@ from .errors import (
     ValidationError,
     ZeroNormError,
 )
-from .grid import TimeGrid
+from .grid import TimeGrid, blocked_sum
 
 DIRECT_SOLVE_MAX = 4096
 # local maxima of F below this fraction of its global maximum are noise
@@ -89,10 +96,16 @@ def _check_inputs(p_ab: np.ndarray, p_bb: np.ndarray) -> None:
 
 
 def _fft_size(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
+    """Smallest 2^a 3^b 5^c >= n, a length the FFT handles efficiently."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _conv_trunc(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -145,6 +158,32 @@ def _solve_toeplitz(b: np.ndarray, p_bb: np.ndarray, dt: float, f0: float) -> np
     res = rhs - _conv_trunc(c, F, T)
     F = F + _conv_trunc(r, res, T)
     F[0] = f0
+    return F
+
+
+def solve_exp_sum(
+    rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid, f0: float
+) -> np.ndarray:
+    """Product-trapezoid solution for exponential-sum series, in closed form.
+
+    coefs holds the rows (c, w) of P_ab(t) = sum_j c_j exp(rates_j t) and
+    P_bb(t) = sum_j w_j exp(rates_j t), with real rates, w_j >= 0 and
+    c_j = 0 wherever w_j = 0; f0 is F(0). With q_j = exp(rates_j dt) and
+    v_j = sqrt(w_j q_j) the system deconvolve solves has the exact solution
+    F_k = v^T A^(k-1) g for k >= 1, where A = diag(q) - 2 v v^T is a
+    rank-one update of a diagonal (Golub 1973) and
+    g_j = (2 c_j / dt - f0 w_j) q_j / v_j. One eigh of A turns F into a
+    sum of powers of its eigenvalues.
+    """
+    c, w = coefs
+    q = np.exp(rates * grid.dt)
+    v = np.sqrt(w * q)
+    g = np.divide((2.0 * c / grid.dt - f0 * w) * q, v, out=np.zeros_like(v), where=v > 0.0)
+    rho, basis = np.linalg.eigh(np.diag(q) - 2.0 * np.outer(v, v))
+    weights = (v @ basis) * (g @ basis)
+    F = np.empty(grid.n)
+    F[0] = f0
+    F[1:] = blocked_sum(weights[None, :], grid.n - 1, lambda k: np.power.outer(rho, k))[0]
     return F
 
 

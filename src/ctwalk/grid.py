@@ -1,4 +1,4 @@
-"""Uniform time grids, quadrature up to a horizon, and exponential sums.
+"""Uniform time grids, quadrature up to a horizon, and blocked mode sums.
 
 All dynamical quantities in this package live on a uniform grid starting
 at t = 0. Time is measured in units of the inverse hop rate (classical)
@@ -10,10 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
+from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
+
+# time points per block of a blocked exponential or power sum
+BLOCK = 4096
 
 
 def _check_positive(name: str, x: float) -> None:
@@ -67,20 +71,38 @@ class TimeGrid:
         return tt, yy
 
 
+def blocked_sum(
+    coefs: np.ndarray, n: int, modes: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Rows sum_j coefs[i, j] m_j(k) for k = 0 .. n - 1; shape (len(coefs), n).
+
+    modes(k) returns the (n_modes, len(k)) values m_j(k) of geometric modes,
+    m_j(lo + k) = m_j(lo) m_j(k). One (n_modes, BLOCK) block is computed
+    once; each block of the output is that block rescaled by m_j(lo), taken
+    directly rather than by repeated multiplication, in one vector-matrix
+    product per row. A row's bits therefore do not depend on which other
+    rows were requested.
+    """
+    block = modes(np.arange(min(BLOCK, n)))
+    out = np.empty((coefs.shape[0], n), dtype=np.result_type(coefs, block))
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        scaled = coefs * modes(np.array([lo]))[:, 0]
+        for i in range(coefs.shape[0]):
+            np.matmul(scaled[i], block[:, :hi - lo], out=out[i, lo:hi])
+    return out
+
+
 def exp_sum(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Rows sum_j coefs[i, j] exp(rates[j] t) on the grid; shape (len(coefs), grid.n).
 
-    Accumulates one mode at a time in two reused buffers, so memory stays
-    O(n_times) per row on grids of millions of points. The dtype follows
-    rates and coefs: real decay rates give real series, imaginary phases
-    complex amplitudes.
+    The dtype follows rates and coefs: real decay rates give real series,
+    imaginary phases complex amplitudes.
     """
-    t = grid.times
-    out = np.zeros((coefs.shape[0], grid.n), dtype=np.result_type(rates, coefs))
-    ph = np.empty(grid.n, dtype=np.result_type(rates, t))
-    term = np.empty_like(out[0])
-    for j, rate in enumerate(rates):
-        np.exp(np.multiply(rate, t, out=ph), out=ph)
-        for i in range(coefs.shape[0]):
-            out[i] += np.multiply(coefs[i, j], ph, out=term)
-    return out
+
+    def modes(k: np.ndarray) -> np.ndarray:
+        z = np.multiply.outer(rates, k * grid.dt)
+        # in place: a fresh block-sized output costs more page faults than exps
+        return np.exp(z, out=z)
+
+    return blocked_sum(coefs, grid.n, modes)

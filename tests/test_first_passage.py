@@ -1,7 +1,9 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from ctwalk import (
+    Graph,
     NoZeroCrossingError,
     NumericsError,
     SideChainConfig,
@@ -22,6 +24,10 @@ from ctwalk import (
     transition_probabilities,
     vertex_occupations,
 )
+from ctwalk.classical import occupation_modes
+import ctwalk.experiments as experiments
+from ctwalk.first_passage import _fft_size, _solve_direct, solve_exp_sum
+from ctwalk.grid import exp_sum
 
 DT = 0.01
 
@@ -226,3 +232,118 @@ def test_grid_mismatch_rejected():
         deconvolve(np.zeros(grid.n), np.ones(grid.n - 1), grid)
     with pytest.raises(GridMismatchError):
         reconstruct(np.zeros(grid.n - 1), np.ones(grid.n - 1), grid)
+
+
+# ---------------------------------------------------------------------------
+# exact exponential-sum solve of the classical system
+# ---------------------------------------------------------------------------
+
+def star_graph(n):
+    return Graph(n=n, edges=frozenset((1, v) for v in range(2, n + 1)),
+                 labels=("chain",) * n)
+
+
+def exact_and_direct(g, start, target, grid):
+    """Closed-form F next to forward substitution on the same series and F(0).
+
+    Also returns sum |c_j| / dt, the size of the modal sums both solvers
+    round at.
+    """
+    rm = build_rate_matrix(g)
+    balance = rm.degrees[target - 1] / rm.degrees[start - 1]
+    rates, coefs = occupation_modes(rm, target, (start, target))
+    coefs[0] *= balance
+    f0 = rm.matrix[target - 1, start - 1]
+    p_ab, p_bb = exp_sum(rates, coefs, grid)
+    f_exact = solve_exp_sum(rates, coefs, grid, f0)
+    f_direct = _solve_direct(p_ab, p_bb, grid.dt, f0)
+    return f_exact, f_direct, np.abs(coefs[0]).sum() / grid.dt
+
+
+def assert_same_solution(f_exact, f_direct, modal):
+    err = np.max(np.abs(f_exact - f_direct))
+    assert err <= 1e-13 * modal
+    # before the density rises, max|F| is below the rounding of the modal sums
+    if np.argmax(f_direct) < len(f_direct) - 1:
+        assert err <= 1e-11 * np.max(np.abs(f_exact))
+
+
+@st.composite
+def connected_cases(draw):
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=8)))
+    g = Graph(n=n, edges=frozenset(edges), labels=("chain",) * n)
+    start = draw(st.integers(1, n))
+    target = draw(st.integers(1, n).filter(lambda v: v != start))
+    grid = TimeGrid(dt=draw(st.sampled_from([0.05, 0.1])), n=draw(st.integers(3, 3000)))
+    return g, start, target, grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_cases())
+def test_exact_solve_matches_forward_substitution(case):
+    assert_same_solution(*exact_and_direct(*case))
+
+
+def test_exact_solve_adjacent_pair_keeps_hop_rate():
+    g = build_side_chain_graph(SideChainConfig(N=5, S=2, offset=0))
+    f_exact, f_direct, modal = exact_and_direct(g, 4, 5, TimeGrid(dt=0.01, n=3000))
+    assert f_exact[0] == 0.5
+    assert_same_solution(f_exact, f_direct, modal)
+
+
+def test_exact_solve_star_leaf_to_leaf():
+    """Five equal rates and modes with zero weight on the target."""
+    f_exact, f_direct, modal = exact_and_direct(star_graph(7), 2, 7, TimeGrid(dt=0.05, n=3000))
+    assert f_exact[0] == 0.0
+    assert_same_solution(f_exact, f_direct, modal)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_classical_pipeline_matches_forward_substitution(monkeypatch, n, s):
+    # dt = 0.02 keeps the O(T^2) reference under 9,000 points
+    dt = 0.02
+    g = build_side_chain_graph(SideChainConfig(N=n, S=s, offset=0))
+    exact, _ = experiments.run_pipeline(g, n, "classical", dt, 1e-6)
+
+    def direct(rates, coefs, grid, f0):
+        return deconvolve(*exp_sum(rates, coefs, grid), grid, method="direct")
+
+    monkeypatch.setattr(experiments, "solve_exp_sum", direct)
+    ref, _ = experiments.run_pipeline(g, n, "classical", dt, 1e-6)
+    assert exact.tau == pytest.approx(ref.tau, rel=1e-10, abs=0.0)
+    assert exact.norm == pytest.approx(ref.norm, rel=1e-10, abs=0.0)
+    assert exact.tau0 == ref.tau0
+
+
+def test_classical_pipeline_uses_exact_initial_rate():
+    """dt = 0.2 is coarser than the hop rate 1/6, which the slope estimate snaps to 0."""
+    g = star_graph(7)
+    result, _ = experiments.run_pipeline(g, 7, "classical", 0.2, 1e-6)
+    oracle = mfpt_linear_solve(g, 1, 7)
+    assert result.F[0] == 1.0 / 6.0
+    assert abs(result.tau - oracle) / oracle < 0.003
+
+
+def test_classical_hot_path_size():
+    """N = 43, S = 2: the largest grid of the paper's classical sweep."""
+    g = build_side_chain_graph(SideChainConfig(N=43, S=2, offset=0))
+    result, grid = experiments.run_pipeline(g, 43, "classical", DT, 1e-6)
+    oracle = mfpt_linear_solve(g, 1, 43)
+    assert grid.n == 2212786
+    assert result.reconstruction_error <= 1e-11
+    assert abs(result.tau - oracle) / oracle <= 2e-5
+
+
+def test_fft_size_is_smallest_five_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    want = [next(m for m in range(n, 2 * n + 1) if smooth(m)) for n in range(1, 5001)]
+    assert [_fft_size(n) for n in range(1, 5001)] == want
