@@ -26,10 +26,10 @@ from .coherence import (
 from .errors import (
     DegenerateNormalizationError,
     GridMismatchError,
+    IllConditionedError,
     NotBipartiteError,
     NoZeroCrossingError,
     NumericsError,
-    StepInstabilityError,
     UnknownVertexError,
     ValidationError,
     ZeroNormError,

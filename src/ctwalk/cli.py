@@ -245,20 +245,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_ancillary(args: argparse.Namespace) -> int:
     if args.S != 0:
         raise ValidationError("ancillary estimators are validated for S=0 models only")
-    if args.method == "sticky" and args.lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {args.lam}")
     cfg = SideChainConfig(N=args.N, S=0, offset=args.offset)
     g = build_side_chain_graph(cfg)
     target = args.N
+    if args.method == "sticky":  # validated before the reference run
+        sticky = attach_sticky_vertex(g, target)
+        jump = (target, sticky.n) if args.jump_direction == "as-printed" else (sticky.n, target)
+        lcfg = LindbladConfig(rate=args.lam, potential=args.V, jump=jump)
     ref, ref_grid = experiments.run_pipeline(g, target, "quantum", args.dt, args.epsilon)
     grid = TimeGrid.from_span(ref.tau0 + 6.0, args.dt)
     sigma_vertices = tuple(v for v in range(1, target + (1 if args.sigma_includes_target else 0)))
     config = {"N": args.N, "method": args.method, "dt": args.dt,
               "sigma_includes_target": args.sigma_includes_target}
     if args.method == "sticky":
-        sticky = attach_sticky_vertex(g, target)
-        jump = (target, sticky.n) if args.jump_direction == "as-printed" else (sticky.n, target)
-        lcfg = LindbladConfig(rate=args.lam, potential=args.V, jump=jump)
         rho = evolve_lindblad(sticky, lcfg, 1, grid)
         est = sticky_first_passage(rho, sigma_vertices, tau0_reference=ref.tau0)
         config.update({"lambda": args.lam, "V": args.V,
@@ -286,6 +285,7 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
         "normalization": est.normalization,
         "sigma_vertices": list(est.sigma_vertices),
         "recurrence_time": est.recurrence_time,
+        **(rho.diagnostics if args.method == "sticky" else {}),
     }
     io.write_json(args.out_dir / "overlay.json", payload, config)
     print(f"overlay L2 error = {err:.4f} -> {args.out_dir}")
@@ -378,14 +378,11 @@ def main(argv: list[str] | None = None) -> int:
             argv = _inject_config_defaults(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a file or directory named on the command line
+    except (ValidationError, OSError) as exc:  # OSError: a path named on the command line
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

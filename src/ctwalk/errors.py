@@ -2,7 +2,7 @@
 
 Two families: ``ValidationError`` for bad inputs (the CLI maps these to
 exit code 2) and ``NumericsError`` for failures of a numerical procedure
-on valid inputs (exit code 1).
+on valid inputs (exit code 1), such as an ill-conditioned eigenbasis.
 """
 
 
@@ -38,5 +38,5 @@ class DegenerateNormalizationError(NumericsError):
     """Complement probability did not decay; no normalization possible."""
 
 
-class StepInstabilityError(NumericsError):
-    """Fixed-step integrator failed its self-check after retries."""
+class IllConditionedError(NumericsError):
+    """Eigenbasis propagator cannot be trusted: ill-conditioned or drifting."""

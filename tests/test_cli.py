@@ -8,6 +8,7 @@ from ctwalk import (
     build_side_chain_graph,
     experiments,
     mfpt_linear_solve,
+    open_quantum,
     path_graph,
 )
 from ctwalk.cli import main
@@ -105,8 +106,11 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["simulate", "--dt", "nan"],
     ["montecarlo", "--n-traj", "0"],
     ["ancillary", "--method", "sticky", "--lambda", "-1"],
+    ["ancillary", "--method", "sticky", "--lambda", "nan"],
+    ["ancillary", "--method", "sticky", "--V", "inf"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
-        "S-set-not-int", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative"])
+        "S-set-not-int", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
+        "lambda-nan", "V-inf"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
     code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])
@@ -209,6 +213,25 @@ def test_ancillary_sticky_reversed(tmp_path):
     doc = json.loads((tmp_path / "overlay.json").read_text())
     assert doc["overlay_L2_error"] <= 0.10
     assert doc["V"] == -2.5
+    assert doc["solver"] == open_quantum.SOLVER
+    assert 1.0 <= doc["cond_R"] <= open_quantum.COND_MAX
+    assert 1 <= doc["taylor_degree"] <= len(open_quantum.THETA)
+    assert doc["trace_drift"] <= 1e-12
+
+
+@pytest.mark.parametrize("name, value", [("COND_MAX", 1.0), ("TRACE_TOL", 0.0)])
+def test_untrusted_propagator_exits_1_without_traceback(tmp_path, capsys, monkeypatch,
+                                                       name, value):
+    """An ill-conditioned eigenbasis or a drifting trace is an error, not a result."""
+    monkeypatch.setattr(open_quantum, name, value)
+    code = run(["ancillary", "--method", "sticky", "--N", 9, "--lambda", 5,
+                "--V", -2.5, "--jump-direction", "reversed",
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ancillary_rejects_negative_rate(tmp_path, capsys):

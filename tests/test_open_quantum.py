@@ -36,11 +36,20 @@ def sticky_grid(reference_nine):
     return TimeGrid.from_span(result.tau0 + 6.0, 0.01)
 
 
+def _sampled_steps(grid):
+    """About 40 grid steps spread over the whole grid."""
+    return np.arange(0, grid.n, max(1, grid.n // 40))
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         LindbladConfig(rate=-1.0, potential=-2.5, jump=(9, 10))
     with pytest.raises(ValidationError):
         LindbladConfig(rate=1.0, potential=-2.5, jump=(9, 9))
+    with pytest.raises(ValidationError):
+        LindbladConfig(rate=float("nan"), potential=-2.5, jump=(9, 10))
+    with pytest.raises(ValidationError):
+        LindbladConfig(rate=1.0, potential=float("inf"), jump=(9, 10))
 
 
 def test_jump_must_be_an_edge(nine_chain):
@@ -55,9 +64,10 @@ def test_closed_system_limit_matches_unitary(nine_chain):
     grid = TimeGrid.from_span(8.0, 0.02)
     cfg = LindbladConfig(rate=0.0, potential=0.0, jump=(9, 10))
     rho = evolve_lindblad(sticky, cfg, 1, grid)
-    amp = evolve_schrodinger(build_hamiltonian(sticky), 1, grid)
-    pure = np.einsum("ti,tj->tij", amp.values, amp.values.conj())
-    assert np.max(np.abs(rho.values - pure)) < 1e-6
+    steps = _sampled_steps(grid)
+    amp = evolve_schrodinger(build_hamiltonian(sticky), 1, grid).values[steps]
+    pure = np.einsum("ti,tj->tij", amp, amp.conj())
+    assert np.max(np.abs(rho.density_matrices(steps) - pure)) < 1e-6
 
 
 def test_dissipative_run_conserves_trace_and_positivity(nine_chain, sticky_grid):
@@ -65,10 +75,58 @@ def test_dissipative_run_conserves_trace_and_positivity(nine_chain, sticky_grid)
     cfg = LindbladConfig(rate=5.0, potential=-2.5, jump=(10, 9))
     rho = evolve_lindblad(sticky, cfg, 1, sticky_grid)
     assert rho.trace_drift() < 1e-8
-    herm = np.max(np.abs(rho.values - rho.values.conj().transpose(0, 2, 1)))
+    steps = _sampled_steps(sticky_grid)
+    mats = rho.density_matrices(steps)
+    diag = np.einsum("tii->ti", mats)
+    assert np.max(np.abs(diag - rho.populations()[steps])) < 1e-12
+    herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
     assert herm < 1e-10
-    eigs = np.linalg.eigvalsh(rho.values[:: max(1, rho.grid.n // 40)])
+    eigs = np.linalg.eigvalsh(mats)
     assert eigs.min() > -1e-7
+
+
+def _dense_populations(g_sticky, cfg, start, grid):
+    """Populations of exp(t L) rho(0) for the n^2 x n^2 Liouvillian L.
+
+    Built in the vertex basis with row-major vec(A X B) = kron(A, B^T) vec X
+    and exponentiated through one eig of L: an exact reference that shares
+    no step with the eigenbasis propagator.
+    """
+    n = g_sticky.n
+    h = build_hamiltonian(g_sticky, potential={n: cfg.potential})
+    jump = np.zeros((n, n))
+    jump[cfg.jump[0] - 1, cfg.jump[1] - 1] = 1.0
+    ldl = jump.T @ jump
+    eye = np.eye(n)
+    liou = -1j * (np.kron(h, eye) - np.kron(eye, h)) + cfg.rate * (
+        np.kron(jump, jump) - 0.5 * np.kron(ldl, eye) - 0.5 * np.kron(eye, ldl)
+    )
+    lam, w = np.linalg.eig(liou)
+    rho0 = np.zeros((n, n))
+    rho0[start - 1, start - 1] = 1.0
+    c = np.linalg.solve(w, rho0.ravel())
+    diag = w[np.arange(n) * (n + 1)]
+    return (diag @ (c[:, None] * np.exp(np.outer(lam, grid.times)))).real.T
+
+
+@pytest.mark.parametrize("jump", [(10, 9), (9, 10)], ids=["reversed", "as-printed"])
+@pytest.mark.parametrize("dt", [0.01, 0.3])  # 0.3 takes 11-12 Taylor substeps per step
+def test_populations_match_dense_liouvillian(nine_chain, sticky_grid, jump, dt):
+    sticky = attach_sticky_vertex(nine_chain, 9)
+    cfg = LindbladConfig(rate=5.0, potential=-2.5, jump=jump)
+    grid = TimeGrid.from_span(sticky_grid.t_end, dt)
+    pops = evolve_lindblad(sticky, cfg, 1, grid).populations()
+    assert np.max(np.abs(pops - _dense_populations(sticky, cfg, 1, grid))) <= 1e-12
+
+
+@pytest.mark.parametrize("jump", [(10, 9), (9, 10)], ids=["reversed", "as-printed"])
+def test_half_step_reproduces_populations(nine_chain, sticky_grid, jump):
+    sticky = attach_sticky_vertex(nine_chain, 9)
+    cfg = LindbladConfig(rate=5.0, potential=-2.5, jump=jump)
+    half = TimeGrid(dt=sticky_grid.dt / 2, n=2 * sticky_grid.n - 1)
+    coarse = evolve_lindblad(sticky, cfg, 1, sticky_grid).populations()
+    fine = evolve_lindblad(sticky, cfg, 1, half).populations()[::2]
+    assert np.max(np.abs(coarse - fine)) <= 1e-12
 
 
 def test_sticky_estimate_integrates_to_one(nine_chain, sticky_grid):
