@@ -76,7 +76,7 @@ from .graphs import (
     path_graph,
     to_edge_list_text,
 )
-from .grid import TimeGrid
+from .grid import Spectrum, TimeGrid
 from .open_quantum import (
     AncillaryFirstPassage,
     DensityMatrixSeries,

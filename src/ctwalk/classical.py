@@ -5,8 +5,8 @@ for a != b and -1 on the diagonal, so every column sums to zero and the
 waiting time at any vertex is exponential with mean one.
 
 Propagation is spectral (no step-size error): K is similar to the symmetric
-matrix D^{-1/2} J D^{-1/2} - I via the degree diagonal D, which is
-diagonalized once per graph.
+matrix S = D^{-1/2} J D^{-1/2} - I via the degree diagonal D, and the
+eigenpairs of S, computed once per rate matrix, are the walk's Spectrum.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
-from .grid import TimeGrid, exp_sum
+from .grid import Spectrum, TimeGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,9 +40,10 @@ class RateMatrix:
         return self.adjacency / np.outer(dh, dh) - np.eye(self.n)
 
     @cached_property
-    def _spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of the symmetric form."""
-        return np.linalg.eigh(self.symmetric)
+    def spectrum(self) -> Spectrum:
+        """Eigenpairs of the symmetric form: rates lambda, scale sqrt(deg)."""
+        lam, u = np.linalg.eigh(self.symmetric)
+        return Spectrum(lam, u, np.sqrt(self.degrees))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,24 +68,13 @@ def build_rate_matrix(g: Graph) -> RateMatrix:
     return RateMatrix(matrix=k, adjacency=j, degrees=deg)
 
 
-def _check_start(rm: RateMatrix, start: int) -> None:
-    if not (1 <= start <= rm.n):
-        raise ValidationError(f"start vertex {start} out of range 1..{rm.n}")
-
-
 def evolve_master(rm: RateMatrix, start: int, grid: TimeGrid) -> ProbabilitySeries:
     """p(t) = exp(K t) delta_start on every grid point.
 
     Returns the full (n_times, n) array; for long horizons where only a few
     vertices matter use vertex_occupations instead.
     """
-    _check_start(rm, start)
-    lam, u = rm._spectral
-    dh = np.sqrt(rm.degrees)
-    w = u[start - 1, :] / dh[start - 1]
-    phases = np.exp(np.outer(lam, grid.times))          # (n, n_times)
-    values = (u * dh[:, None]) @ (phases * w[:, None])  # (n, n_times)
-    return ProbabilitySeries(grid=grid, values=values.T)
+    return ProbabilitySeries(grid, rm.spectrum.series(start, tuple(range(1, rm.n + 1)), grid).T)
 
 
 def vertex_occupations(
@@ -95,27 +85,7 @@ def vertex_occupations(
     Memory stays O(n_times) per requested vertex, which matters for the long
     classical horizons (millions of grid points).
     """
-    return exp_sum(*occupation_modes(rm, start, targets), grid)
-
-
-def occupation_modes(
-    rm: RateMatrix, start: int, targets: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rates lam and coefficient rows c of p_v(t) = sum_j c[i, j] exp(lam_j t), v = targets[i].
-
-    From the eigenpairs of the symmetric form. Called from a target b with
-    targets (a, b), the rows are P_ba and P_bb; P_bb's coefficients are
-    u_bj^2 >= 0.
-    """
-    _check_start(rm, start)
-    for v in targets:
-        if not (1 <= v <= rm.n):
-            raise ValidationError(f"target vertex {v} out of range 1..{rm.n}")
-    lam, u = rm._spectral
-    dh = np.sqrt(rm.degrees)
-    w = u[start - 1, :] / dh[start - 1]
-    idx = np.array(targets, dtype=int) - 1
-    return lam, dh[idx, None] * u[idx, :] * w
+    return rm.spectrum.series(start, targets, grid)
 
 
 def stationary_distribution(rm: RateMatrix) -> np.ndarray:
@@ -141,18 +111,15 @@ def mfpt_linear_solve(g: Graph, start: int, target: int) -> float:
     return float(m[keep.index(start - 1)])
 
 
-def survival_horizon(g: Graph, target: int, eps: float = 1e-6, start: int = 1) -> float:
+def survival_horizon(rm: RateMatrix, target: int, eps: float = 1e-6, start: int = 1) -> float:
     """Time at which the not-yet-arrived probability mass drops below eps.
 
     Uses the symmetric form of the generator with the target row and column
     removed (the killed walk), then bisects the survival function. Sizing the
     simulation grid from this avoids repeated horizon doubling.
     """
-    g.check_vertex(target)
-    g.check_vertex(start)
-    if start == target:
-        raise ValidationError("start and target must differ")
-    rm = build_rate_matrix(g)
+    if not (1 <= start <= rm.n and 1 <= target <= rm.n and start != target):
+        raise ValidationError(f"need distinct start, target in 1..{rm.n}, got {start}, {target}")
     keep = [i for i in range(rm.n) if i != target - 1]
     dh = np.sqrt(rm.degrees[keep])
     lam, u = np.linalg.eigh(rm.symmetric[np.ix_(keep, keep)])

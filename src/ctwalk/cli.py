@@ -148,16 +148,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if start == target:
         raise ValidationError(f"start and target must differ, both are {start}")
     config.update(start=start, target=target, walk=args.walk)
-    result, grid = experiments.run_pipeline(
-        g, target, args.walk, args.dt, args.epsilon, start=start
-    )
+    model = experiments.walk_model(g, args.walk)
+    result, grid = experiments.run_pipeline(model, target, args.dt, args.epsilon, start=start)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.full_series and args.walk == "quantum":
-        amp = quantum.evolve_schrodinger(quantum.build_hamiltonian(g), start, grid)
+        amp = quantum.evolve_schrodinger(model, start, grid)
         io.write_amplitude_series_csv(args.out_dir / "amplitudes.csv", amp, config)
         io.write_occupation_csv(args.out_dir / "occupations.csv", amp, config)
     elif args.full_series:
-        series = classical.evolve_master(classical.build_rate_matrix(g), start, grid)
+        series = classical.evolve_master(model, start, grid)
         io.write_probability_series_csv(args.out_dir / "occupations.csv", series, config)
     io.write_columns_csv(
         args.out_dir / f"P{start}{target}.csv", ["t", "P"], [grid.times, result.p_ab],
@@ -252,7 +251,7 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
         sticky = attach_sticky_vertex(g, target)
         jump = (target, sticky.n) if args.jump_direction == "as-printed" else (sticky.n, target)
         lcfg = LindbladConfig(rate=args.lam, potential=args.V, jump=jump)
-    ref, ref_grid = experiments.run_pipeline(g, target, "quantum", args.dt, args.epsilon)
+    ref, ref_grid = experiments.run_pipeline(quantum.spectrum(g), target, args.dt, args.epsilon)
     grid = TimeGrid.from_span(ref.tau0 + 6.0, args.dt)
     sigma_vertices = tuple(v for v in range(1, target + (1 if args.sigma_includes_target else 0)))
     config = {"N": args.N, "method": args.method, "dt": args.dt,
@@ -300,11 +299,13 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     target = args.N
     config = {**_model_config(args), "n_traj": args.n_traj, "seed": args.seed,
               "bin_width": args.bin_width}
+    result, grid = experiments.run_pipeline(  # rejects a bad --epsilon before sampling
+        classical.build_rate_matrix(g), target, args.dt, args.epsilon
+    )
     hist = gillespie_first_passage(
         g, 1, target, args.n_traj, seed=args.seed,
         bin_width=args.bin_width, t_cap=args.t_cap,
     )
-    result, grid = experiments.run_pipeline(g, target, "classical", args.dt, args.epsilon)
     l1 = histogram_density_l1(hist, grid.times, result.F)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     io.write_columns_csv(

@@ -30,7 +30,7 @@ from .first_passage import (
     solve_exp_sum,
 )
 from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain_graph
-from .grid import TimeGrid
+from .grid import Spectrum, TimeGrid
 
 MAX_HORIZON_DOUBLINGS = 8
 ENTROPY_S_VALUES = (0, 1, 2)
@@ -76,14 +76,25 @@ def _model_graph(n: int, s: int, offset: int) -> Graph:
     return build_side_chain_graph(SideChainConfig(N=n, S=s, offset=offset))
 
 
+def walk_model(g: Graph, walk: str) -> Spectrum | classical.RateMatrix:
+    """What run_pipeline and the evolvers read: a Spectrum, or a RateMatrix carrying one."""
+    if walk == "quantum":
+        return quantum.spectrum(g)
+    if walk == "classical":
+        return classical.build_rate_matrix(g)
+    raise ValidationError(f"walk must be 'classical' or 'quantum', got {walk!r}")
+
+
 def run_pipeline(
-    g: Graph, target: int, walk: str, dt: float, eps: float, start: int = 1
+    model: Spectrum | classical.RateMatrix, target: int, dt: float, eps: float,
+    start: int = 1,
 ) -> tuple[FirstPassageResult, TimeGrid]:
     """Evolve, solve for F and integrate one start -> target case; grid sizing is automatic.
 
-    Each grid takes one series call, from the target: it gives P_bb, and
-    P_ab by symmetry. The quantum propagator of a real symmetric H is
-    symmetric, and the classical walk obeys detailed balance,
+    model comes from walk_model, and its one eigendecomposition serves
+    every grid. Each grid takes one series call, from the target: it gives
+    P_bb, and P_ab by symmetry. The quantum propagator of a real symmetric
+    H is symmetric, and the classical walk obeys detailed balance,
     P_ab(t) deg(a) = P_ba(t) deg(b). The result carries both series.
 
     The classical F is the closed-form solve over the series' shared
@@ -93,15 +104,17 @@ def run_pipeline(
     start near the ballistic crossing time and double until the zero of F
     is on the grid.
     """
-    if walk == "classical":
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
+    if isinstance(model, classical.RateMatrix):
+        rm = model
+        coefs = rm.spectrum.modes(target, (start, target))
+        balance = rm.degrees[target - 1] / rm.degrees[start - 1]
+        coefs[0] *= balance
         # epsilon horizon from the exact killed-walk survival; the quadrature
         # mass of the discrete F saturates ~1e-6 short of one at dt = 0.01,
         # so its own epsilon crossing can sit far beyond the true one
-        t_eps = classical.survival_horizon(g, target, eps=eps, start=start)
-        rm = classical.build_rate_matrix(g)
-        balance = rm.degrees[target - 1] / rm.degrees[start - 1]
-        rates, coefs = classical.occupation_modes(rm, target, (start, target))
-        coefs[0] *= balance
+        t_eps = classical.survival_horizon(rm, target, eps=eps, start=start)
         # F(0) is the hop rate start -> target, exactly 0 unless they are adjacent
         f0 = float(rm.matrix[target - 1, start - 1])
         spans = [t_eps * 1.05 + 4.0]
@@ -112,28 +125,25 @@ def run_pipeline(
             return p
 
         def solve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
-            return solve_exp_sum(rates, coefs, grid, f0)
+            return solve_exp_sum(rm.spectrum.rates, coefs, grid, f0)
 
         def horizon(F: np.ndarray, grid: TimeGrid) -> float:
             if 1.0 - cumulative_mass(F, grid)[-1] < eps:
                 return detect_tau0(F, grid, mode="classical", eps=eps)
             return t_eps
 
-    elif walk == "quantum":
-        h = quantum.build_hamiltonian(g)
+    else:
         t_first = max(12.0, 0.7 * target + 6.0)
         spans = [t_first * 2.0**k for k in range(MAX_HORIZON_DOUBLINGS)]
 
         def series(grid: TimeGrid) -> np.ndarray:
-            return quantum.transition_probabilities(h, target, (start, target), grid)
+            return quantum.transition_probabilities(model, target, (start, target), grid)
 
         solve = deconvolve
 
         def horizon(F: np.ndarray, grid: TimeGrid) -> float:
             return detect_tau0(F, grid, mode="quantum", eps=eps)
 
-    else:
-        raise ValidationError(f"walk must be 'classical' or 'quantum', got {walk!r}")
     for span in spans:
         grid = TimeGrid.from_span(span, dt)
         p_ab, p_bb = series(grid)
@@ -152,8 +162,7 @@ def run_case(
     n: int, s: int, offset: int, walk: str, dt: float = 0.01, eps: float = 1e-6
 ) -> SweepRecord:
     """Full pipeline for one (N, S, offset, walk) case."""
-    g = _model_graph(n, s, offset)
-    result, _ = run_pipeline(g, n, walk, dt, eps)
+    result, _ = run_pipeline(walk_model(_model_graph(n, s, offset), walk), n, dt, eps)
     return SweepRecord(
         N=n,
         S=s,
@@ -371,12 +380,11 @@ def entropy_study(
     cases: dict[int, EntropyCase] = {}
     for s in ENTROPY_S_VALUES:
         g = _model_graph(n, s, offset)
-        result, _ = run_pipeline(g, n, "quantum", dt, eps)
+        h = quantum.spectrum(g)
+        result, _ = run_pipeline(h, n, dt, eps)
         grid = TimeGrid.from_span(result.tau0, dt)
-        coloring = bipartite_coloring(g)
-        h = quantum.build_hamiltonian(g)
         amp = quantum.evolve_schrodinger(h, 1, grid)
-        series = coherence.entropy_series(amp, coloring)
+        series = coherence.entropy_series(amp, bipartite_coloring(g))
         avg = coherence.average_entropy(series, grid, result.tau0)
         cases[s] = EntropyCase(
             S=s, grid=grid, entropy=series, tau0=result.tau0, average=avg

@@ -187,14 +187,12 @@ def solve_exp_sum(
     return F
 
 
-def deconvolve(
-    p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid, method: str = "auto"
-) -> np.ndarray:
+def deconvolve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Solve the renewal relation for F on the shared grid.
 
-    method: "direct" forward substitution, "fft" Toeplitz reciprocal, or
-    "auto" (direct up to DIRECT_SOLVE_MAX points). Both methods solve the
-    same product-trapezoid system and agree to rounding error.
+    Forward substitution up to DIRECT_SOLVE_MAX points, the FFT Toeplitz
+    reciprocal beyond. Both solve the same product-trapezoid system and
+    agree to rounding error.
     """
     p_ab = np.asarray(p_ab, dtype=float)
     p_bb = np.asarray(p_bb, dtype=float)
@@ -202,13 +200,9 @@ def deconvolve(
     if len(p_ab) != grid.n:
         raise GridMismatchError(f"series length {len(p_ab)} != grid length {grid.n}")
     f0 = _initial_rate(p_ab, grid.dt)
-    if method == "auto":
-        method = "direct" if grid.n <= DIRECT_SOLVE_MAX else "fft"
-    if method == "direct":
+    if grid.n <= DIRECT_SOLVE_MAX:
         return _solve_direct(p_ab, p_bb, grid.dt, f0)
-    if method == "fft":
-        return _solve_toeplitz(p_ab, p_bb, grid.dt, f0)
-    raise ValidationError(f"unknown method {method!r}")
+    return _solve_toeplitz(p_ab, p_bb, grid.dt, f0)
 
 
 def reconstruct(F: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -324,9 +318,8 @@ def extract_first_passage(
     grid: TimeGrid,
     mode: str,
     eps: float = 1e-6,
-    method: str = "auto",
 ) -> FirstPassageResult:
     """Full deconvolve -> tau0 -> mean pipeline with a round-trip residual."""
-    F = deconvolve(p_ab, p_bb, grid, method=method)
+    F = deconvolve(p_ab, p_bb, grid)
     tau0 = detect_tau0(F, grid, mode=mode, eps=eps)
     return first_passage_result(p_ab, p_bb, F, grid, tau0)

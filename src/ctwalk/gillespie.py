@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
+from .grid import _check_positive
 
 BATCH_SIZE = 100_000
 
@@ -101,8 +102,8 @@ def gillespie_first_passage(
         raise ValidationError("start and target must differ")
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
-    if bin_width <= 0:
-        raise ValidationError(f"bin_width must be positive, got {bin_width}")
+    _check_positive("bin_width", bin_width)
+    _check_positive("t_cap", t_cap)
     table, deg = _neighbor_table(g)
     n_batches = (n_traj + BATCH_SIZE - 1) // BATCH_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_batches)

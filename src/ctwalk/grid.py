@@ -1,4 +1,4 @@
-"""Uniform time grids, quadrature up to a horizon, and blocked mode sums.
+"""Uniform time grids, quadrature to a horizon, blocked mode sums, walk spectra.
 
 All dynamical quantities in this package live on a uniform grid starting
 at t = 0. Time is measured in units of the inverse hop rate (classical)
@@ -106,3 +106,34 @@ def exp_sum(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> np.ndarray:
         return np.exp(z, out=z)
 
     return blocked_sum(coefs, grid.n, modes)
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigenpairs of a walk's generator, from which every series of the walk is summed.
+
+    The series at v from s is sum_j scale_v u_vj u_sj / scale_s exp(rates_j t)
+    with u = vectors: the quantum amplitude (rates -i lambda, unit scale) or
+    the classical occupation (rates lambda, scale sqrt(deg)).
+    """
+
+    rates: np.ndarray
+    vectors: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[0]
+
+    def modes(self, start: int, targets: tuple[int, ...]) -> np.ndarray:
+        """Coefficient rows c[i, j] of the series at targets[i]; shape (len(targets), n)."""
+        for v in (start, *targets):
+            if not (1 <= v <= self.n):
+                raise ValidationError(f"vertex {v} out of range 1..{self.n}")
+        w = self.vectors[start - 1, :] / self.scale[start - 1]
+        idx = np.array(targets, dtype=int) - 1
+        return self.scale[idx, None] * self.vectors[idx, :] * w
+
+    def series(self, start: int, targets: tuple[int, ...], grid: TimeGrid) -> np.ndarray:
+        """The series at each target on the grid; shape (len(targets), grid.n)."""
+        return exp_sum(self.rates, self.modes(start, targets), grid)

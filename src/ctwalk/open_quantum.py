@@ -36,7 +36,7 @@ from .errors import (
 )
 from .graphs import Graph, dress_with_ring
 from .grid import TimeGrid
-from .quantum import build_hamiltonian, evolve_schrodinger
+from .quantum import build_hamiltonian, evolve_schrodinger, spectrum
 from .first_passage import detect_tau0
 
 SOLVER = "eig(H_eff) Taylor"
@@ -292,8 +292,7 @@ def ring_first_passage(
     dressed = dress_with_ring(g, target, ring_size)
     if sigma_vertices is None:
         sigma_vertices = _default_sigma_vertices(g, target)
-    h = build_hamiltonian(dressed)
-    amp = evolve_schrodinger(h, start, grid)
+    amp = evolve_schrodinger(spectrum(dressed), start, grid)
     idx = np.array(sigma_vertices, dtype=int) - 1
     sigma = (np.abs(amp.values[:, idx]) ** 2).sum(axis=1)
     return complement_flux(sigma, grid, tuple(sigma_vertices), tau0_reference)

@@ -1,8 +1,10 @@
 """Continuous-time quantum walk: Schrodinger evolution on a graph.
 
 The Hamiltonian is the adjacency matrix (hop amplitude 1, hbar 1), plus an
-optional on-site potential on the diagonal for decorated models. Evolution
-is by Hermitian eigendecomposition, exact up to floating point.
+optional on-site potential on the diagonal for decorated models. A walk's
+Spectrum holds the eigenpairs of its adjacency Hamiltonian, diagonalized
+once per graph; every amplitude is an exponential sum over them, exact up
+to floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
-from .grid import TimeGrid, exp_sum
+from .grid import Spectrum, TimeGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,24 +40,15 @@ def build_hamiltonian(g: Graph, potential: dict[int, float] | None = None) -> np
     return h
 
 
-def _check_hamiltonian(h: np.ndarray) -> None:
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"Hamiltonian must be square, got shape {h.shape}")
-    if not np.allclose(h, h.T, atol=1e-12):
-        raise ValidationError("Hamiltonian must be symmetric")
+def spectrum(g: Graph) -> Spectrum:
+    """Eigenpairs of the adjacency Hamiltonian: rates -i lambda, unit scale."""
+    lam, u = np.linalg.eigh(g.adjacency())
+    return Spectrum(-1j * lam, u, np.ones(g.n))
 
 
-def evolve_schrodinger(h: np.ndarray, start: int, grid: TimeGrid) -> AmplitudeSeries:
+def evolve_schrodinger(h: Spectrum, start: int, grid: TimeGrid) -> AmplitudeSeries:
     """psi(t) = exp(-i H t) delta_start on every grid point."""
-    _check_hamiltonian(h)
-    n = h.shape[0]
-    if not (1 <= start <= n):
-        raise ValidationError(f"start vertex {start} out of range 1..{n}")
-    lam, u = np.linalg.eigh(h)
-    w = u[start - 1, :]
-    phases = np.exp(-1j * np.outer(lam, grid.times))  # (n, n_times)
-    values = u @ (phases * w[:, None])
-    return AmplitudeSeries(grid=grid, values=values.T)
+    return AmplitudeSeries(grid, h.series(start, tuple(range(1, h.n + 1)), grid).T)
 
 
 def occupation(series: AmplitudeSeries, v: int) -> np.ndarray:
@@ -66,19 +59,10 @@ def occupation(series: AmplitudeSeries, v: int) -> np.ndarray:
 
 
 def transition_probabilities(
-    h: np.ndarray, start: int, targets: tuple[int, ...], grid: TimeGrid
+    h: Spectrum, start: int, targets: tuple[int, ...], grid: TimeGrid
 ) -> np.ndarray:
     """|<v| exp(-i H t) |start>|^2 for selected vertices; shape (len(targets), n_times).
 
     Avoids materializing the full wavefunction history on long grids.
     """
-    _check_hamiltonian(h)
-    n = h.shape[0]
-    if not (1 <= start <= n):
-        raise ValidationError(f"start vertex {start} out of range 1..{n}")
-    for v in targets:
-        if not (1 <= v <= n):
-            raise ValidationError(f"target vertex {v} out of range 1..{n}")
-    lam, u = np.linalg.eigh(h)
-    idx = np.array(targets, dtype=int) - 1
-    return np.abs(exp_sum(-1j * lam, u[idx, :] * u[start - 1, :], grid)) ** 2
+    return np.abs(h.series(start, targets, grid)) ** 2

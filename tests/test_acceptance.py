@@ -19,7 +19,6 @@ from ctwalk import (
     TimeGrid,
     attach_sticky_vertex,
     bipartite_coloring,
-    build_hamiltonian,
     build_rate_matrix,
     build_side_chain_graph,
     deconvolve,
@@ -40,6 +39,7 @@ from ctwalk import (
     transition_probabilities,
 )
 from ctwalk.experiments import group_by_n, run_pipeline
+from ctwalk.quantum import spectrum
 
 DT = 0.01
 EPS = 1e-6
@@ -70,7 +70,7 @@ def reference_f():
     """Deconvolved quantum F for N = 9 and N = 43, shared by the overlays."""
     out = {}
     for n in (9, 43):
-        result, grid = run_pipeline(chain(n), n, "quantum", DT, EPS)
+        result, grid = run_pipeline(spectrum(chain(n)), n, DT, EPS)
         out[n] = (result, grid)
     return out
 
@@ -145,7 +145,7 @@ def test_criterion_4_analytic_oracles():
     ok_c = abs(classical2.tau - 1.0) <= 1e-4
 
     g2 = chain(2)
-    h2 = build_hamiltonian(g2)
+    h2 = spectrum(g2)
     grid = TimeGrid.from_span(5.0, DT)
     p12 = transition_probabilities(h2, 1, (2,), grid)[0]
     p22 = transition_probabilities(h2, 2, (2,), grid)[0]
@@ -163,7 +163,7 @@ def test_criterion_4_analytic_oracles():
     )
 
     grid3 = TimeGrid.from_span(10.0, DT)
-    p13 = transition_probabilities(build_hamiltonian(chain(3)), 1, (3,), grid3)[0]
+    p13 = transition_probabilities(spectrum(chain(3)), 1, (3,), grid3)[0]
     ok_3 = np.max(np.abs(p13 - np.sin(grid3.times / np.sqrt(2.0)) ** 4)) <= 1e-6
 
     assert report(
@@ -239,7 +239,7 @@ def test_criterion_6_oracle_equivalence(classical_records):
 def test_criterion_7_monte_carlo():
     g = chain(9)
     hist = gillespie_first_passage(g, 1, 9, 1_000_000, seed=7, bin_width=1.0)
-    result, grid = run_pipeline(g, 9, "classical", DT, EPS)
+    result, grid = run_pipeline(build_rate_matrix(g), 9, DT, EPS)
     l1 = histogram_density_l1(hist, grid.times, result.F)
     assert report(
         "criterion 7 (Monte Carlo agreement)",
@@ -324,7 +324,7 @@ def test_criterion_9_conservation(reference_f):
     classical_dev = np.max(
         np.abs(evolve_master(rm, 1, grid).values.sum(axis=1) - 1.0)
     )
-    amp = evolve_schrodinger(build_hamiltonian(g), 1, grid)
+    amp = evolve_schrodinger(spectrum(g), 1, grid)
     quantum_dev = np.max(np.abs((np.abs(amp.values) ** 2).sum(axis=1) - 1.0))
 
     result9, _ = reference_f[9]

@@ -122,8 +122,8 @@ def test_vertex_occupations_matches_full_series():
     grid = TimeGrid.from_span(8.0, 0.02)
     series = evolve_master(rm, 1, grid)
     picked = vertex_occupations(rm, 1, (9, 5), grid)
-    assert np.max(np.abs(picked[0] - series.vertex(9))) < 1e-12
-    assert np.max(np.abs(picked[1] - series.vertex(5))) < 1e-12
+    assert np.array_equal(picked[0], series.vertex(9))
+    assert np.array_equal(picked[1], series.vertex(5))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,10 @@ def test_mfpt_end_to_end_grows_quadratically():
 
 def test_survival_horizon_brackets_eps():
     g = chain(9)
-    t_eps = survival_horizon(g, 9, eps=1e-6)
     rm = build_rate_matrix(g)
+    t_eps = survival_horizon(rm, 9, eps=1e-6)
     # survival at t_eps computed from the evolved series with target killed is
     # not directly available; check monotone bracketing via the mfpt scale
     assert t_eps > mfpt_linear_solve(g, 1, 9)
-    tighter = survival_horizon(g, 9, eps=1e-3)
+    tighter = survival_horizon(rm, 9, eps=1e-3)
     assert tighter < t_eps

@@ -31,7 +31,7 @@ def test_simulate_writes_contracted_files(tmp_path):
     assert first[0].startswith("# config:")
     assert first[1] == "t,F"
     g = build_side_chain_graph(SideChainConfig(N=9, S=1))
-    result, grid = experiments.run_pipeline(g, 9, "quantum", 0.01, 1e-6)
+    result, grid = experiments.run_pipeline(experiments.walk_model(g, "quantum"), 9, 0.01, 1e-6)
     for name, series in (("P19.csv", result.p_ab), ("P99.csv", result.p_bb),
                          ("F.csv", result.F)):
         t, values = np.loadtxt(tmp_path / name, delimiter=",", skiprows=2, unpack=True)
@@ -108,9 +108,14 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["ancillary", "--method", "sticky", "--lambda", "-1"],
     ["ancillary", "--method", "sticky", "--lambda", "nan"],
     ["ancillary", "--method", "sticky", "--V", "inf"],
+    ["montecarlo", "--bin-width", "nan"],
+    ["montecarlo", "--t-cap", "-1"],
+    ["simulate", "--walk", "classical", "--epsilon", "nan"],
+    ["simulate", "--epsilon", "1"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
         "S-set-not-int", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
-        "lambda-nan", "V-inf"])
+        "lambda-nan", "V-inf", "bin-width-nan", "t-cap-negative", "epsilon-nan",
+        "epsilon-one"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
     code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])

@@ -8,7 +8,6 @@ from ctwalk import (
     ValidationError,
     average_entropy,
     bipartite_coloring,
-    build_hamiltonian,
     build_side_chain_graph,
     entropy_series,
     evolve_schrodinger,
@@ -16,6 +15,7 @@ from ctwalk import (
     reduce_density,
     von_neumann_entropy,
 )
+from ctwalk.quantum import spectrum
 
 
 def coloring_of(n, s=0):
@@ -110,7 +110,7 @@ def test_clamping_handles_roundoff():
 def test_two_path_walk_stays_pure_under_reduction():
     """psi = (cos t, -i sin t) gives rho eigenvalues {1, 0}, so E is zero."""
     grid = TimeGrid.from_span(4.0, 0.01)
-    series = evolve_schrodinger(build_hamiltonian(path_graph(2)), 1, grid)
+    series = evolve_schrodinger(spectrum(path_graph(2)), 1, grid)
     e = entropy_series(series, coloring_of(2))
     assert np.max(np.abs(e)) < 1e-9
 
@@ -119,7 +119,7 @@ def test_entropy_series_matches_pointwise_route():
     g = build_side_chain_graph(SideChainConfig(N=9, S=2))
     c = bipartite_coloring(g)
     grid = TimeGrid.from_span(6.0, 0.05)
-    series = evolve_schrodinger(build_hamiltonian(g), 1, grid)
+    series = evolve_schrodinger(spectrum(g), 1, grid)
     fast = entropy_series(series, c)
     slow = np.array(
         [von_neumann_entropy(reduce_density(series.values[i], c)) for i in range(grid.n)]
@@ -129,7 +129,7 @@ def test_entropy_series_matches_pointwise_route():
 
 def test_entropy_starts_at_zero_for_localized_walker():
     g = build_side_chain_graph(SideChainConfig(N=9, S=1))
-    series = evolve_schrodinger(build_hamiltonian(g), 1, TimeGrid.from_span(2.0, 0.01))
+    series = evolve_schrodinger(spectrum(g), 1, TimeGrid.from_span(2.0, 0.01))
     e = entropy_series(series, bipartite_coloring(g))
     assert e[0] == pytest.approx(0.0, abs=1e-12)
     assert np.all((e >= 0.0) & (e <= 1.0))

@@ -5,7 +5,6 @@ import pytest
 
 from ctwalk import (
     ValidationError,
-    build_hamiltonian,
     build_rate_matrix,
     cached_run_case,
     delta_table,
@@ -22,6 +21,8 @@ from ctwalk import (
     vertex_occupations,
 )
 import ctwalk.experiments as experiments
+from ctwalk.cli import main
+from ctwalk.quantum import spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +57,8 @@ UNEVEN = "n=5\n1 2\n2 3\n3 4\n1 5\n"
 
 def test_classical_pipeline_series_use_detailed_balance():
     g = from_edge_list_text(UNEVEN)
-    result, grid = experiments.run_pipeline(g, 4, "classical", 0.01, 1e-6)
     rm = build_rate_matrix(g)
+    result, grid = experiments.run_pipeline(rm, 4, 0.01, 1e-6)
     assert np.allclose(result.p_ab, vertex_occupations(rm, 1, (4,), grid)[0],
                        rtol=0.0, atol=1e-13)
     assert np.array_equal(result.p_bb, vertex_occupations(rm, 4, (4,), grid)[0])
@@ -66,11 +67,51 @@ def test_classical_pipeline_series_use_detailed_balance():
 
 def test_quantum_pipeline_series_match_direct_evaluation():
     g = from_edge_list_text(UNEVEN)
-    result, grid = experiments.run_pipeline(g, 4, "quantum", 0.01, 1e-6, start=5)
-    h = build_hamiltonian(g)
+    h = spectrum(g)
+    result, grid = experiments.run_pipeline(h, 4, 0.01, 1e-6, start=5)
     direct = transition_probabilities(h, 5, (4,), grid)[0]
     assert np.allclose(result.p_ab, direct, rtol=0.0, atol=1e-13)
     assert np.array_equal(result.p_bb, transition_probabilities(h, 4, (4,), grid)[0])
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Sizes of the matrices passed to np.linalg.eigh anywhere in the package."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_quantum_horizon_doubling_reuses_one_spectrum(eigh_calls):
+    # target 2 sits 39 hops from the start, far beyond the first span of 12
+    edges = "1 3\n" + "".join(f"{v} {v + 1}\n" for v in range(3, 40)) + "40 2\n"
+    g = from_edge_list_text("n=40\n" + edges)
+    _, grid = experiments.run_pipeline(experiments.walk_model(g, "quantum"), 2, 0.01, 1e-6)
+    assert grid.t_end > 20.0
+    assert eigh_calls == [40]
+
+
+def test_entropy_study_diagonalizes_each_graph_once(eigh_calls):
+    entropy_study(9)
+    assert eigh_calls == [9, 10, 11]
+
+
+@pytest.mark.parametrize("walk,sizes", [
+    ("quantum", [9]),
+    # the spectrum, the killed-walk block and the rank-one update of the solve
+    ("classical", [9, 8, 9]),
+])
+def test_full_series_reuses_the_pipeline_spectrum(eigh_calls, tmp_path, walk, sizes):
+    code = main(["simulate", "--N", "9", "--walk", walk, "--full-series",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert eigh_calls == sizes
 
 
 def test_unknown_walk_rejected():

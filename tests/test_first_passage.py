@@ -10,7 +10,6 @@ from ctwalk import (
     TimeGrid,
     ValidationError,
     ZeroNormError,
-    build_hamiltonian,
     build_rate_matrix,
     build_side_chain_graph,
     cumulative_mass,
@@ -24,10 +23,11 @@ from ctwalk import (
     transition_probabilities,
     vertex_occupations,
 )
-from ctwalk.classical import occupation_modes
 import ctwalk.experiments as experiments
+import ctwalk.first_passage as first_passage
 from ctwalk.first_passage import _fft_size, _solve_direct, solve_exp_sum
 from ctwalk.grid import exp_sum
+from ctwalk.quantum import spectrum
 
 DT = 0.01
 
@@ -43,7 +43,7 @@ def classical_pair(n, t_end, dt=DT, s=0, offset=0):
 
 def quantum_pair(n, t_end, dt=DT, s=0, offset=0):
     g = build_side_chain_graph(SideChainConfig(N=n, S=s, offset=offset))
-    h = build_hamiltonian(g)
+    h = spectrum(g)
     grid = TimeGrid.from_span(t_end, dt)
     p_ab = transition_probabilities(h, 1, (n,), grid)[0]
     p_bb = transition_probabilities(h, n, (n,), grid)[0]
@@ -84,15 +84,15 @@ def test_zero_input_gives_zero_density():
     assert np.array_equal(reconstruct(np.zeros(grid.n), p22, grid), np.zeros(grid.n))
 
 
-def test_direct_and_fft_solvers_agree():
+def test_direct_and_fft_solvers_agree(monkeypatch):
     p19, p99, grid = quantum_pair(9, 14.0)
-    f_direct = deconvolve(p19, p99, grid, method="direct")
-    f_fft = deconvolve(p19, p99, grid, method="fft")
-    assert np.max(np.abs(f_direct - f_fft)) < 1e-9
     c_ab, c_bb, cgrid = classical_pair(5, 120.0)
-    f_direct = deconvolve(c_ab, c_bb, cgrid, method="direct")
-    f_fft = deconvolve(c_ab, c_bb, cgrid, method="fft")
-    assert np.max(np.abs(f_direct - f_fft)) < 1e-9
+    monkeypatch.setattr(first_passage, "DIRECT_SOLVE_MAX", 1 << 30)
+    q_direct = deconvolve(p19, p99, grid)
+    c_direct = deconvolve(c_ab, c_bb, cgrid)
+    monkeypatch.setattr(first_passage, "DIRECT_SOLVE_MAX", 0)
+    assert np.max(np.abs(q_direct - deconvolve(p19, p99, grid))) < 1e-9
+    assert np.max(np.abs(c_direct - deconvolve(c_ab, c_bb, cgrid))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def exact_and_direct(g, start, target, grid):
     """
     rm = build_rate_matrix(g)
     balance = rm.degrees[target - 1] / rm.degrees[start - 1]
-    rates, coefs = occupation_modes(rm, target, (start, target))
+    rates, coefs = rm.spectrum.rates, rm.spectrum.modes(target, (start, target))
     coefs[0] *= balance
     f0 = rm.matrix[target - 1, start - 1]
     p_ab, p_bb = exp_sum(rates, coefs, grid)
@@ -306,14 +306,15 @@ def test_exact_solve_star_leaf_to_leaf():
 def test_classical_pipeline_matches_forward_substitution(monkeypatch, n, s):
     # dt = 0.02 keeps the O(T^2) reference under 9,000 points
     dt = 0.02
-    g = build_side_chain_graph(SideChainConfig(N=n, S=s, offset=0))
-    exact, _ = experiments.run_pipeline(g, n, "classical", dt, 1e-6)
+    rm = build_rate_matrix(build_side_chain_graph(SideChainConfig(N=n, S=s, offset=0)))
+    exact, _ = experiments.run_pipeline(rm, n, dt, 1e-6)
 
     def direct(rates, coefs, grid, f0):
-        return deconvolve(*exp_sum(rates, coefs, grid), grid, method="direct")
+        return deconvolve(*exp_sum(rates, coefs, grid), grid)
 
+    monkeypatch.setattr(first_passage, "DIRECT_SOLVE_MAX", 1 << 30)
     monkeypatch.setattr(experiments, "solve_exp_sum", direct)
-    ref, _ = experiments.run_pipeline(g, n, "classical", dt, 1e-6)
+    ref, _ = experiments.run_pipeline(rm, n, dt, 1e-6)
     assert exact.tau == pytest.approx(ref.tau, rel=1e-10, abs=0.0)
     assert exact.norm == pytest.approx(ref.norm, rel=1e-10, abs=0.0)
     assert exact.tau0 == ref.tau0
@@ -322,7 +323,7 @@ def test_classical_pipeline_matches_forward_substitution(monkeypatch, n, s):
 def test_classical_pipeline_uses_exact_initial_rate():
     """dt = 0.2 is coarser than the hop rate 1/6, which the slope estimate snaps to 0."""
     g = star_graph(7)
-    result, _ = experiments.run_pipeline(g, 7, "classical", 0.2, 1e-6)
+    result, _ = experiments.run_pipeline(build_rate_matrix(g), 7, 0.2, 1e-6)
     oracle = mfpt_linear_solve(g, 1, 7)
     assert result.F[0] == 1.0 / 6.0
     assert abs(result.tau - oracle) / oracle < 0.003
@@ -331,7 +332,7 @@ def test_classical_pipeline_uses_exact_initial_rate():
 def test_classical_hot_path_size():
     """N = 43, S = 2: the largest grid of the paper's classical sweep."""
     g = build_side_chain_graph(SideChainConfig(N=43, S=2, offset=0))
-    result, grid = experiments.run_pipeline(g, 43, "classical", DT, 1e-6)
+    result, grid = experiments.run_pipeline(build_rate_matrix(g), 43, DT, 1e-6)
     oracle = mfpt_linear_solve(g, 1, 43)
     assert grid.n == 2212786
     assert result.reconstruction_error <= 1e-11

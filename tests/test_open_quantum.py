@@ -18,6 +18,7 @@ from ctwalk import (
     sticky_first_passage,
 )
 from ctwalk.experiments import run_pipeline
+from ctwalk.quantum import spectrum
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def nine_chain():
 
 @pytest.fixture(scope="module")
 def reference_nine(nine_chain):
-    return run_pipeline(nine_chain, 9, "quantum", 0.01, 1e-6)
+    return run_pipeline(spectrum(nine_chain), 9, 0.01, 1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def test_closed_system_limit_matches_unitary(nine_chain):
     cfg = LindbladConfig(rate=0.0, potential=0.0, jump=(9, 10))
     rho = evolve_lindblad(sticky, cfg, 1, grid)
     steps = _sampled_steps(grid)
-    amp = evolve_schrodinger(build_hamiltonian(sticky), 1, grid).values[steps]
+    amp = evolve_schrodinger(spectrum(sticky), 1, grid).values[steps]
     pure = np.einsum("ti,tj->tij", amp, amp.conj())
     assert np.max(np.abs(rho.density_matrices(steps) - pure)) < 1e-6
 
