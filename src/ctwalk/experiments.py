@@ -3,8 +3,9 @@
 A case is one (N, S, offset, walk) pipeline run: build the graph, evolve
 from the target, deconvolve, find the horizon, take the mean. Sweeps over
 many cases are cached on disk keyed by (N, S, offset, walk, dt) so large
-tables rerun incrementally, and independent cases can run in a process
-pool.
+tables rerun incrementally; each entry also stores the eps it was run at
+and the SOLVER_ID of the code that wrote it. Independent cases can run in
+a process pool.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain
 from .grid import Spectrum, TimeGrid
 
 MAX_HORIZON_DOUBLINGS = 8
+# names the solvers behind a cached record; change it whenever a solver
+# change moves outputs, so older cache entries are recomputed
+SOLVER_ID = "exp-sum+blocked-64"
 ENTROPY_S_VALUES = (0, 1, 2)
 
 
@@ -98,7 +102,8 @@ def run_pipeline(
     P_ab(t) deg(a) = P_ba(t) deg(b). The result carries both series.
 
     The classical F is the closed-form solve over the series' shared
-    rates, with F(0) the exact hop rate; the quantum F is deconvolved.
+    rates, with F(0) the exact hop rate; the quantum F is deconvolved, on
+    grids with dt (lambda_max - lambda_min) < pi so that P(t) is not aliased.
     Classical horizons come from the killed-walk survival function (the
     F-mass crossing is used when it happens on the grid); quantum horizons
     start near the ballistic crossing time and double until the zero of F
@@ -133,6 +138,14 @@ def run_pipeline(
             return t_eps
 
     else:
+        # P(t) oscillates at the eigenvalue gaps of H; a grid that cannot
+        # resolve the widest one solves an aliased series
+        bandwidth = float(np.ptp(model.rates.imag))
+        if dt * bandwidth >= math.pi:
+            raise ValidationError(
+                f"dt = {dt} aliases the fastest oscillation of P(t) (frequency "
+                f"{bandwidth:.6g}); dt must be below {math.pi / bandwidth:.6g}"
+            )
         t_first = max(12.0, 0.7 * target + 6.0)
         spans = [t_first * 2.0**k for k in range(MAX_HORIZON_DOUBLINGS)]
 
@@ -249,7 +262,11 @@ def cached_run_case(
     eps: float = 1e-6,
     cache_dir: str | Path | None = None,
 ) -> SweepRecord:
-    """run_case with an optional append-only JSON cache."""
+    """run_case with an optional append-only JSON cache.
+
+    A corrupt entry, or one written at another eps or by another SOLVER_ID
+    (or with none), is recomputed and rewritten.
+    """
     if cache_dir is None:
         return run_case(n, s, offset, walk, dt, eps)
     cache_dir = Path(cache_dir)
@@ -257,13 +274,15 @@ def cached_run_case(
     path = cache_dir / _cache_name(n, s, offset, walk, dt)
     if path.exists():
         try:
-            cached = SweepRecord(**json.loads(path.read_text()))
-        except (ValueError, TypeError):  # corrupt entry: recompute and rewrite
+            fields = json.loads(path.read_text())
+            solver = fields.pop("solver", None)
+            cached = SweepRecord(**fields)
+        except (ValueError, TypeError, AttributeError):  # corrupt entry
             cached = None
-        if cached is not None and cached.eps == eps:
+        if cached is not None and cached.eps == eps and solver == SOLVER_ID:
             return cached
     record = run_case(n, s, offset, walk, dt, eps)
-    _atomic_write_text(path, json.dumps(asdict(record)))
+    _atomic_write_text(path, json.dumps({**asdict(record), "solver": SOLVER_ID}))
     return record
 
 

@@ -21,6 +21,9 @@ from .graphs import Graph
 from .grid import _check_positive
 
 BATCH_SIZE = 100_000
+# most histogram bins a run may ask for (t_cap / bin_width); each array
+# over the bins then stays near 80 MB
+MAX_BINS = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +97,9 @@ def gillespie_first_passage(
     Trajectories that exceed t_cap without arriving are counted in n_capped
     and excluded from the histogram (never silently dropped). The histogram
     is normalized by n_traj and the bin width, so it estimates the
-    first-passage density directly.
+    first-passage density directly. Its bins run up to the last hit, at
+    most one waiting time past t_cap, so t_cap / bin_width may not exceed
+    MAX_BINS.
     """
     g.check_vertex(start)
     g.check_vertex(target)
@@ -104,6 +109,11 @@ def gillespie_first_passage(
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
     _check_positive("bin_width", bin_width)
     _check_positive("t_cap", t_cap)
+    if t_cap / bin_width > MAX_BINS:
+        raise ValidationError(
+            f"t_cap / bin_width = {t_cap / bin_width:.3g} histogram bins exceeds "
+            f"the budget of {MAX_BINS}; widen the bins or lower t_cap"
+        )
     table, deg = _neighbor_table(g)
     n_batches = (n_traj + BATCH_SIZE - 1) // BATCH_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_batches)

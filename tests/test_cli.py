@@ -110,12 +110,14 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["ancillary", "--method", "sticky", "--V", "inf"],
     ["montecarlo", "--bin-width", "nan"],
     ["montecarlo", "--t-cap", "-1"],
+    ["montecarlo", "--N", "3", "--n-traj", "10", "--bin-width", "1e-300"],
     ["simulate", "--walk", "classical", "--epsilon", "nan"],
     ["simulate", "--epsilon", "1"],
+    ["simulate", "--walk", "quantum", "--N", "3", "--dt", "5"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
         "S-set-not-int", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
-        "lambda-nan", "V-inf", "bin-width-nan", "t-cap-negative", "epsilon-nan",
-        "epsilon-one"])
+        "lambda-nan", "V-inf", "bin-width-nan", "t-cap-negative", "bin-width-tiny",
+        "epsilon-nan", "epsilon-one", "dt-aliases-quantum"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
     code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])
@@ -167,16 +169,22 @@ def test_sweep_outputs_and_cache_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("corrupt", ["truncated", "wrong-keys", "not-a-record"])
+@pytest.mark.parametrize("corrupt", ["truncated", "wrong-keys", "not-a-record",
+                                     "no-solver-id", "other-solver-id"])
 def test_sweep_recomputes_corrupt_cache_entry(tmp_path, corrupt):
     args = ["sweep", "--walk", "quantum", "--N-range", "3:5:2", "--S-set", "0,1",
             "--cache-dir", tmp_path / "cache"]
     assert run(args + ["--out-dir", tmp_path / "cold"]) == 0
     entry = tmp_path / "cache" / "N3_S0_off0_quantum_dt0.01.json"
     text = entry.read_text()
+    # a well-formed record from another solver, with a tau this one never gives
+    stale = {**json.loads(text), "tau": 1.0}
+    del stale["solver"]
     entry.write_text({"truncated": text[: len(text) // 2],
                       "wrong-keys": '{"N": 3, "S": 0, "eps": 1e-06, "tau": 1.0}',
-                      "not-a-record": "[1, 2]"}[corrupt])
+                      "not-a-record": "[1, 2]",
+                      "no-solver-id": json.dumps(stale),
+                      "other-solver-id": json.dumps({**stale, "solver": "old"})}[corrupt])
     assert run(args + ["--out-dir", tmp_path / "warm"]) == 0
     cold = (tmp_path / "cold" / "records.jsonl").read_bytes()
     assert (tmp_path / "warm" / "records.jsonl").read_bytes() == cold

@@ -25,7 +25,7 @@ from ctwalk import (
 )
 import ctwalk.experiments as experiments
 import ctwalk.first_passage as first_passage
-from ctwalk.first_passage import _fft_size, _solve_direct, solve_exp_sum
+from ctwalk.first_passage import SOLVE_BLOCK, _fft_size, _initial_rate, solve_exp_sum
 from ctwalk.grid import exp_sum
 from ctwalk.quantum import spectrum
 
@@ -48,6 +48,19 @@ def quantum_pair(n, t_end, dt=DT, s=0, offset=0):
     p_ab = transition_probabilities(h, 1, (n,), grid)[0]
     p_bb = transition_probabilities(h, n, (n,), grid)[0]
     return p_ab, p_bb, grid
+
+
+def forward_substitution(b, p_bb, dt, f0):
+    """Scalar product-trapezoid recurrence: the reference for every solver."""
+    T = len(b)
+    F = np.empty(T)
+    F[0] = f0
+    for n in range(1, T):
+        acc = 0.5 * f0 * p_bb[n]
+        if n > 1:
+            acc += np.dot(F[1:n], p_bb[n - 1:0:-1])
+        F[n] = 2.0 * (b[n] / dt - acc)
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +106,39 @@ def test_direct_and_fft_solvers_agree(monkeypatch):
     monkeypatch.setattr(first_passage, "DIRECT_SOLVE_MAX", 0)
     assert np.max(np.abs(q_direct - deconvolve(p19, p99, grid))) < 1e-9
     assert np.max(np.abs(c_direct - deconvolve(c_ab, c_bb, cgrid))) < 1e-9
+
+
+def side_chain_pair(walk, start, target, n, s=0):
+    """Series of a start -> target pair on an n-point grid: P_ab, P_bb, grid."""
+    g = build_side_chain_graph(SideChainConfig(N=5, S=s, offset=0))
+    grid = TimeGrid(dt=DT, n=n)
+    if walk == "quantum":
+        h = spectrum(g)
+        p_ab = transition_probabilities(h, start, (target,), grid)[0]
+        p_bb = transition_probabilities(h, target, (target,), grid)[0]
+    else:
+        rm = build_rate_matrix(g)
+        p_ab = vertex_occupations(rm, start, (target,), grid)[0]
+        p_bb = vertex_occupations(rm, target, (target,), grid)[0]
+    return p_ab, p_bb, grid
+
+
+@pytest.mark.parametrize("n", [3, 4, SOLVE_BLOCK, SOLVE_BLOCK + 1, SOLVE_BLOCK + 2,
+                               2 * SOLVE_BLOCK + 7, 3611])
+@pytest.mark.parametrize("walk, start, target, s", [
+    ("quantum", 1, 5, 0), ("classical", 1, 5, 0), ("classical", 4, 5, 2),
+], ids=["quantum", "classical", "classical-adjacent"])
+def test_blocked_solve_matches_forward_substitution(n, walk, start, target, s):
+    p_ab, p_bb, grid = side_chain_pair(walk, start, target, n, s)
+    assert grid.n <= first_passage.DIRECT_SOLVE_MAX
+    f0 = _initial_rate(p_ab, grid.dt)
+    assert (f0 != 0.0) == (target - start == 1)
+    ref = forward_substitution(p_ab, p_bb, grid.dt, f0)
+    f = deconvolve(p_ab, p_bb, grid)
+    assert np.max(np.abs(f - ref)) < 1e-9
+    residual = np.max(np.abs(reconstruct(f, p_bb, grid) - p_ab))
+    ref_residual = np.max(np.abs(reconstruct(ref, p_bb, grid) - p_ab))
+    assert residual <= 2.0 * ref_residual
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +302,7 @@ def exact_and_direct(g, start, target, grid):
     f0 = rm.matrix[target - 1, start - 1]
     p_ab, p_bb = exp_sum(rates, coefs, grid)
     f_exact = solve_exp_sum(rates, coefs, grid, f0)
-    f_direct = _solve_direct(p_ab, p_bb, grid.dt, f0)
+    f_direct = forward_substitution(p_ab, p_bb, grid.dt, f0)
     return f_exact, f_direct, np.abs(coefs[0]).sum() / grid.dt
 
 
@@ -310,9 +356,8 @@ def test_classical_pipeline_matches_forward_substitution(monkeypatch, n, s):
     exact, _ = experiments.run_pipeline(rm, n, dt, 1e-6)
 
     def direct(rates, coefs, grid, f0):
-        return deconvolve(*exp_sum(rates, coefs, grid), grid)
+        return forward_substitution(*exp_sum(rates, coefs, grid), grid.dt, f0)
 
-    monkeypatch.setattr(first_passage, "DIRECT_SOLVE_MAX", 1 << 30)
     monkeypatch.setattr(experiments, "solve_exp_sum", direct)
     ref, _ = experiments.run_pipeline(rm, n, dt, 1e-6)
     assert exact.tau == pytest.approx(ref.tau, rel=1e-10, abs=0.0)

@@ -77,6 +77,10 @@ def test_l1_against_exact_exponential():
         dict(start=1, target=1, n_traj=10, seed=0, bin_width=0.5),
         dict(start=1, target=2, n_traj=0, seed=0, bin_width=0.5),
         dict(start=1, target=2, n_traj=10, seed=0, bin_width=0.0),
+        # more histogram bins than MAX_BINS, rejected before sampling
+        dict(start=1, target=2, n_traj=10, seed=0, bin_width=1e-300),
+        dict(start=1, target=2, n_traj=10, seed=0, bin_width=1e-6),
+        dict(start=1, target=2, n_traj=10, seed=0, bin_width=1e-3, t_cap=1e300),
     ],
 )
 def test_bad_arguments_rejected(kwargs):
