@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import classical, experiments, io, quantum
 from .errors import NumericsError, ValidationError
-from .gillespie import gillespie_first_passage, histogram_density_l1
+from .gillespie import check_sampling_args, gillespie_first_passage, histogram_density_l1
 from .graphs import (
     SideChainConfig,
     attach_sticky_vertex,
@@ -292,8 +292,7 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    if args.n_traj < 1:
-        raise ValidationError(f"n_traj must be >= 1, got {args.n_traj}")
+    check_sampling_args(args.n_traj, args.bin_width, args.t_cap)
     cfg = SideChainConfig(N=args.N, S=args.S, offset=args.offset)
     g = build_side_chain_graph(cfg)
     target = args.N

@@ -264,8 +264,10 @@ def cached_run_case(
 ) -> SweepRecord:
     """run_case with an optional append-only JSON cache.
 
-    A corrupt entry, or one written at another eps or by another SOLVER_ID
-    (or with none), is recomputed and rewritten.
+    An entry is served only if its N, S, offset, walk, dt and eps equal the
+    request exactly and it was written by this SOLVER_ID: the file name
+    rounds dt, so two requests can share a name. A corrupt or mismatched
+    entry is recomputed and rewritten.
     """
     if cache_dir is None:
         return run_case(n, s, offset, walk, dt, eps)
@@ -279,7 +281,10 @@ def cached_run_case(
             cached = SweepRecord(**fields)
         except (ValueError, TypeError, AttributeError):  # corrupt entry
             cached = None
-        if cached is not None and cached.eps == eps and solver == SOLVER_ID:
+        request = (n, s, offset, walk, dt, eps, SOLVER_ID)
+        if cached is not None and (
+            cached.N, cached.S, cached.offset, cached.walk, cached.dt, cached.eps, solver
+        ) == request:
             return cached
     record = run_case(n, s, offset, walk, dt, eps)
     _atomic_write_text(path, json.dumps({**asdict(record), "solver": SOLVER_ID}))

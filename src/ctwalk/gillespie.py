@@ -2,12 +2,22 @@
 
 Trajectories follow the jump process generated by the rate matrix: unit
 total exit rate at every vertex (exponential waiting time, mean one) and a
-uniformly random neighbor as the next vertex.
+uniformly random neighbor as the next vertex (Gillespie's stochastic
+simulation).
 
-Sampling is vectorized over fixed-size batches. Each batch draws from its
-own seeded substream, spawned from (seed, batch index), so results are
-bit-reproducible for a given seed and independent of how batches are
-scheduled across workers.
+Sampling is vectorized over fixed-size batches of BATCH_SIZE trajectories.
+Each batch draws from its own seeded substream, spawned from (seed, batch
+index), so results are bit-reproducible for a given seed and the first k
+trajectories do not depend on how many batches follow.
+
+Determinism contract: a batch carries only its live trajectories (vertex,
+time and index into the batch), in batch order. Every step draws
+``rng.exponential(1.0, size=m)`` and then ``rng.random(m)``, m being the
+live count, adds the i-th waiting time to the i-th live time, and moves
+the i-th live trajectory to neighbor floor(u_i * degree) of its vertex.
+After the step, trajectories that reached the target (a hit, even on the
+step that passes t_cap) or passed t_cap (capped) leave the live set, which
+is compacted with one mask so the survivors keep their order.
 """
 
 from __future__ import annotations
@@ -47,11 +57,12 @@ class FirstPassageHistogram:
 
 
 def _neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    deg = np.array([g.degree(v) for v in range(1, g.n + 1)], dtype=np.int64)
-    table = np.zeros((g.n, int(deg.max())), dtype=np.int64)
+    """Zero-padded neighbor rows (0-based) and the degrees as float64 (exact)."""
+    deg = np.array([g.degree(v) for v in range(1, g.n + 1)], dtype=np.float64)
+    table = np.zeros((g.n, int(deg.max())), dtype=np.intp)
     for v in range(1, g.n + 1):
         nb = g.neighbors(v)
-        table[v - 1, : len(nb)] = np.array(nb, dtype=np.int64) - 1
+        table[v - 1, : len(nb)] = np.array(nb, dtype=np.intp) - 1
     return table, deg
 
 
@@ -64,23 +75,48 @@ def _run_batch(
     rng: np.random.Generator,
     t_cap: float,
 ) -> tuple[np.ndarray, int]:
-    pos = np.full(n, start - 1, dtype=np.int64)
+    """Hitting times of n trajectories (inf if capped) and the capped count."""
+    width = table.shape[1]
+    flat = table.ravel()
+    pos = np.full(n, start - 1, dtype=np.intp)
     t = np.zeros(n)
+    idx = np.arange(n)
     hits = np.full(n, np.inf)
-    alive = np.arange(n)
     capped = 0
-    while len(alive):
-        t[alive] += rng.exponential(1.0, size=len(alive))
-        u = rng.random(len(alive))
-        p = pos[alive]
-        pos[alive] = table[p, (u * deg[p]).astype(np.int64)]
-        arrived = pos[alive] == target - 1
-        hit_idx = alive[arrived]
-        hits[hit_idx] = t[hit_idx]
-        over = (t[alive] > t_cap) & ~arrived
-        capped += int(np.count_nonzero(over))
-        alive = alive[~arrived & ~over]
+    while len(pos):
+        t += rng.exponential(1.0, size=len(pos))
+        u = rng.random(len(pos))
+        u *= deg.take(pos)
+        k = u.astype(np.intp)
+        pos *= width
+        k += pos
+        pos = flat.take(k)
+        arrived = pos == target - 1
+        keep = ~arrived
+        if t.max() > t_cap:
+            late = t > t_cap
+            late &= keep
+            capped += int(np.count_nonzero(late))
+            keep &= ~late
+        if not keep.all():
+            got = np.flatnonzero(arrived)
+            hits[idx.take(got)] = t.take(got)
+            live = np.flatnonzero(keep)
+            pos, t, idx = pos.take(live), t.take(live), idx.take(live)
     return hits, capped
+
+
+def check_sampling_args(n_traj: int, bin_width: float, t_cap: float) -> None:
+    """Reject a sampling request before any work is done for it."""
+    if n_traj < 1:
+        raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
+    _check_positive("bin_width", bin_width)
+    _check_positive("t_cap", t_cap)
+    if t_cap / bin_width > MAX_BINS:
+        raise ValidationError(
+            f"t_cap / bin_width = {t_cap / bin_width:.3g} histogram bins exceeds "
+            f"the budget of {MAX_BINS}; widen the bins or lower t_cap"
+        )
 
 
 def gillespie_first_passage(
@@ -105,15 +141,7 @@ def gillespie_first_passage(
     g.check_vertex(target)
     if start == target:
         raise ValidationError("start and target must differ")
-    if n_traj < 1:
-        raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
-    _check_positive("bin_width", bin_width)
-    _check_positive("t_cap", t_cap)
-    if t_cap / bin_width > MAX_BINS:
-        raise ValidationError(
-            f"t_cap / bin_width = {t_cap / bin_width:.3g} histogram bins exceeds "
-            f"the budget of {MAX_BINS}; widen the bins or lower t_cap"
-        )
+    check_sampling_args(n_traj, bin_width, t_cap)
     table, deg = _neighbor_table(g)
     n_batches = (n_traj + BATCH_SIZE - 1) // BATCH_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_batches)

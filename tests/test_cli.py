@@ -272,6 +272,18 @@ def test_montecarlo_rejects_zero_trajectories(tmp_path):
     assert run(["montecarlo", "--N", 5, "--n-traj", 0, "--out-dir", tmp_path]) == 2
 
 
+def test_montecarlo_rejects_bins_before_reference_solve(tmp_path, capsys, monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("reference solve ran before the input was checked")
+
+    monkeypatch.setattr(experiments, "run_pipeline", boom)
+    code = run(["montecarlo", "--N", 43, "--S", 2, "--n-traj", 10,
+                "--bin-width", "1e-300", "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "histogram bins" in err and "Traceback" not in err
+
+
 def test_entropy_outputs(tmp_path):
     assert run(["entropy", "--N", 5, "--out-dir", tmp_path]) == 0
     for s in (0, 1, 2):

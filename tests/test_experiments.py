@@ -205,6 +205,20 @@ def test_cache_ignores_stale_eps(tmp_path):
     assert other.tau0 < rec.tau0
 
 
+@pytest.mark.parametrize("field,value", [
+    # dt = 0.010000001 names the same file as 0.01 (dt formatted with .6g)
+    ("N", 5), ("S", 1), ("offset", 1), ("walk", "classical"), ("dt", 0.010000001),
+])
+def test_cache_recomputes_entry_for_another_request(tmp_path, field, value):
+    """A planted entry that does not match the request is never served."""
+    fresh = cached_run_case(3, 0, 0, "quantum", cache_dir=tmp_path)
+    (entry,) = tmp_path.glob("*.json")
+    text = entry.read_text()
+    entry.write_text(json.dumps({**json.loads(text), field: value, "tau": 1.0}))
+    assert cached_run_case(3, 0, 0, "quantum", cache_dir=tmp_path) == fresh
+    assert entry.read_text() == text
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     serial = sweep([3, 5], [0], 0, "quantum")
     parallel = sweep([3, 5], [0], 0, "quantum", jobs=2)
