@@ -158,15 +158,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif args.full_series:
         series = classical.evolve_master(model, start, grid)
         io.write_probability_series_csv(args.out_dir / "occupations.csv", series, config)
-    io.write_columns_csv(
-        args.out_dir / f"P{start}{target}.csv", ["t", "P"], [grid.times, result.p_ab],
+    io.write_series_csvs(
+        grid.times,
+        [(args.out_dir / f"P{start}{target}.csv", "P", result.p_ab),
+         (args.out_dir / f"P{target}{target}.csv", "P", result.p_bb),
+         (args.out_dir / "F.csv", "F", result.F)],
         config,
     )
-    io.write_columns_csv(
-        args.out_dir / f"P{target}{target}.csv", ["t", "P"], [grid.times, result.p_bb],
-        config,
-    )
-    io.write_columns_csv(args.out_dir / "F.csv", ["t", "F"], [grid.times, result.F], config)
     payload = {
         "N": g.n if args.graph_file else args.N,
         "S": None if args.graph_file else args.S,
@@ -320,9 +318,14 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         "pipeline_tau": result.tau,
         "mfpt_linear_solve": classical.mfpt_linear_solve(g, 1, target),
         "n_capped": hist.n_capped,
+        "capped_fraction": hist.n_capped / hist.n_traj,
     }
     io.write_json(args.out_dir / "comparison.json", payload, config)
     print(f"L1 distance = {l1:.4f}  mean = {hist.empirical_mean:.3f} -> {args.out_dir}")
+    if hist.n_capped:
+        print(f"note: {hist.n_capped} of {hist.n_traj} trajectories "
+              f"({hist.n_capped / hist.n_traj:.1%}) passed --t-cap {args.t_cap:g}; "
+              "the mean is over finite hitting times only")
     return 0
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, coherence, quantum
-from .errors import NoZeroCrossingError, ValidationError
+from .errors import NoZeroCrossingError, NumericsError, ValidationError
 from .first_passage import (
     FirstPassageResult,
     cumulative_mass,
@@ -38,6 +38,10 @@ MAX_HORIZON_DOUBLINGS = 8
 # change moves outputs, so older cache entries are recomputed
 SOLVER_ID = "exp-sum+blocked-64"
 ENTROPY_S_VALUES = (0, 1, 2)
+# largest round-trip residual max|F * P_bb - P_ab| a run may return
+# (acceptance criterion 5); a solve that misses it fails instead
+QUANTUM_RESIDUAL_MAX = 1e-4
+CLASSICAL_RESIDUAL_MAX = 1e-5
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,9 @@ def run_pipeline(
     F-mass crossing is used when it happens on the grid); quantum horizons
     start near the ballistic crossing time and double until the zero of F
     is on the grid.
+
+    Raises NumericsError when the round-trip residual exceeds
+    QUANTUM_RESIDUAL_MAX or CLASSICAL_RESIDUAL_MAX.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
@@ -123,6 +130,7 @@ def run_pipeline(
         # F(0) is the hop rate start -> target, exactly 0 unless they are adjacent
         f0 = float(rm.matrix[target - 1, start - 1])
         spans = [t_eps * 1.05 + 4.0]
+        residual_max = CLASSICAL_RESIDUAL_MAX
 
         def series(grid: TimeGrid) -> np.ndarray:
             p = classical.vertex_occupations(rm, target, (start, target), grid)
@@ -148,6 +156,7 @@ def run_pipeline(
             )
         t_first = max(12.0, 0.7 * target + 6.0)
         spans = [t_first * 2.0**k for k in range(MAX_HORIZON_DOUBLINGS)]
+        residual_max = QUANTUM_RESIDUAL_MAX
 
         def series(grid: TimeGrid) -> np.ndarray:
             return quantum.transition_probabilities(model, target, (start, target), grid)
@@ -165,7 +174,13 @@ def run_pipeline(
             tau0 = horizon(F, grid)
         except NoZeroCrossingError:
             continue
-        return first_passage_result(p_ab, p_bb, F, grid, tau0), grid
+        result = first_passage_result(p_ab, p_bb, F, grid, tau0)
+        if not result.reconstruction_error <= residual_max:  # also catches nan
+            raise NumericsError(
+                f"residual {result.reconstruction_error:.3g} > {residual_max:g} "
+                f"at {grid.n} points"
+            )
+        return result, grid
     raise NoZeroCrossingError(
         f"no zero of F within {2.0 * spans[-1]} time units; giving up"
     )

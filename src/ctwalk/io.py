@@ -5,12 +5,16 @@ produced it, so outputs are self-describing and reruns are comparable.
 Floats are written with 17 significant digits, enough to round-trip a
 double exactly. CSV rows are formatted in blocks of about BLOCK_CELLS
 values, one %-format per block; the bytes are the same as formatting each
-cell on its own with fmt.
+cell on its own with fmt. Files that share a time column, such as
+simulate's P_ab, P_bb and F series, are written together by
+write_series_csvs, which formats each block of times once for all of them;
+their bytes are unchanged.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -55,6 +59,38 @@ def write_columns_csv(
                 [np.asarray(c[lo:lo + step], dtype=np.float64) for c in columns]
             )
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_series_csvs(
+    times: np.ndarray,
+    files: Sequence[tuple[str | Path, str, np.ndarray]],
+    config: Mapping[str, Any],
+) -> None:
+    """Write one t,<name> file per (path, name, values), all on the same times.
+
+    The bytes of each file are those of write_columns_csv(path, ["t", name],
+    [times, values], config). Each block's t values are formatted once, as
+    "%.17g," row prefixes that every file's block then reuses.
+    """
+    rows = len(times)
+    for path, _, values in files:
+        if len(values) != rows:
+            raise ValueError(f"{path}: {len(values)} values for {rows} times")
+    step = max(1, BLOCK_CELLS // 2)
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w")) for path, _, _ in files]
+        for fh, (_, name, _) in zip(handles, files):
+            fh.write(f"{config_line(config)}\nt,{name}\n")
+        for lo in range(0, rows, step):
+            t = np.asarray(times[lo:lo + step], dtype=np.float64).tolist()
+            n = len(t)
+            # "%.17g" prints no line break, so the split gives n prefixes
+            cells: list[Any] = [None] * (2 * n)
+            cells[0::2] = (("%.17g,\n" * n) % tuple(t)).splitlines()
+            row = "%s%.17g\n" * n
+            for fh, (_, _, values) in zip(handles, files):
+                cells[1::2] = np.asarray(values[lo:lo + step], dtype=np.float64).tolist()
+                fh.write(row % tuple(cells))
 
 
 def write_probability_series_csv(

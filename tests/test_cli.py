@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ctwalk import (
     path_graph,
 )
 from ctwalk.cli import main
+from ctwalk.io import config_line, fmt
 
 
 def run(args):
@@ -37,6 +39,37 @@ def test_simulate_writes_contracted_files(tmp_path):
         t, values = np.loadtxt(tmp_path / name, delimiter=",", skiprows=2, unpack=True)
         np.testing.assert_array_equal(t, grid.times, err_msg=name)
         np.testing.assert_array_equal(values, series, err_msg=name)
+
+
+@pytest.mark.parametrize("walk", ["classical", "quantum"])
+def test_simulate_series_files_match_per_cell_format(tmp_path, walk):
+    assert run(["simulate", "--N", 5, "--walk", walk, "--out-dir", tmp_path]) == 0
+    g = build_side_chain_graph(SideChainConfig(N=5))
+    result, grid = experiments.run_pipeline(experiments.walk_model(g, walk), 5, 0.01, 1e-6)
+    config = json.loads((tmp_path / "result.json").read_text())["config"]
+    for name, header, series in (("P15.csv", "t,P", result.p_ab),
+                                 ("P55.csv", "t,P", result.p_bb),
+                                 ("F.csv", "t,F", result.F)):
+        rows = [f"{fmt(t)},{fmt(x)}" for t, x in zip(grid.times, series)]
+        expected = "\n".join([config_line(config), header] + rows) + "\n"
+        assert (tmp_path / name).read_text() == expected, name
+
+
+@pytest.mark.parametrize("walk", ["classical", "quantum"])
+@pytest.mark.parametrize("residual", [16.8, float("nan")])
+def test_simulate_bad_residual_exits_1(tmp_path, capsys, monkeypatch, walk, residual):
+    solved = experiments.first_passage_result
+
+    def planted(*args):
+        return replace(solved(*args), reconstruction_error=residual)
+
+    monkeypatch.setattr(experiments, "first_passage_result", planted)
+    code = run(["simulate", "--N", 5, "--walk", walk, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: numerical failure: residual ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_rejects_short_chain(tmp_path, capsys):
@@ -254,18 +287,32 @@ def test_ancillary_rejects_negative_rate(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
-def test_montecarlo_outputs_and_determinism(tmp_path):
+def test_montecarlo_outputs_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "one"
     args = ["montecarlo", "--N", 5, "--n-traj", 20000, "--seed", 7,
             "--bin-width", 1.0]
     assert run(args + ["--out-dir", out1]) == 0
+    assert "finite hitting times" not in capsys.readouterr().out
     doc = json.loads((out1 / "comparison.json").read_text())
-    assert doc["n_capped"] == 0
+    assert doc["n_capped"] == 0 and doc["capped_fraction"] == 0.0
     assert doc["l1_distance"] < 0.1
     assert doc["mfpt_linear_solve"] == pytest.approx(16.0, abs=1e-9)
     out2 = tmp_path / "two"
     assert run(args + ["--out-dir", out2]) == 0
     assert (out1 / "histogram.csv").read_bytes() == (out2 / "histogram.csv").read_bytes()
+
+
+def test_montecarlo_flags_capped_mean(tmp_path, capsys):
+    code = run(["montecarlo", "--N", 5, "--n-traj", 2000, "--seed", 7, "--t-cap", 5,
+                "--out-dir", tmp_path])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads((tmp_path / "comparison.json").read_text())
+    assert 0 < doc["n_capped"] < 2000
+    assert doc["capped_fraction"] == doc["n_capped"] / 2000
+    assert doc["empirical_mean"] < 5.0 < doc["mfpt_linear_solve"]
+    assert f"{doc['n_capped']} of 2000 trajectories" in out
+    assert "the mean is over finite hitting times only" in out
 
 
 def test_montecarlo_rejects_zero_trajectories(tmp_path):

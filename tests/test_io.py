@@ -11,6 +11,7 @@ from ctwalk.io import (
     write_json,
     write_jsonl,
     write_probability_series_csv,
+    write_series_csvs,
 )
 
 
@@ -76,6 +77,39 @@ def test_columns_csv_matches_per_cell_format(tmp_path, monkeypatch, blocks, extr
     path = tmp_path / "block.csv"
     write_columns_csv(path, header, columns, config)
     assert path.read_text() == _per_cell_reference(header, columns, config)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 15, 16, 17, 49],
+                         ids=["header-only", "1", "block-1", "block", "block+1", "3block+1"])
+def test_series_csvs_match_columns_writer(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(io, "BLOCK_CELLS", 32)  # 16 rows per block
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308,
+                        -1e308, 2.2250738585072014e-308, -2.225073858507201e-308,
+                        1.7976931348623157e308, 3.0, 0.1 + 0.2, 1 / 3])
+    rng = np.random.default_rng(rows)
+    times = np.arange(rows) * 0.01
+    bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64)
+    cplx = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    files = [
+        (tmp_path / "special.csv", "P", np.resize(special, rows)),
+        (tmp_path / "bits.csv", "P", bits),
+        (tmp_path / "F.csv", "F", cplx.imag),  # strided view
+    ]
+    config = {"N": 9, "walk": "classical"}
+    write_series_csvs(times, files, config)
+    for path, name, values in files:
+        expected = _per_cell_reference(["t", name], [times, values], config)
+        assert path.read_text() == expected, path.name
+        ref = tmp_path / "ref.csv"
+        write_columns_csv(ref, ["t", name], [times, values], config)
+        assert path.read_bytes() == ref.read_bytes(), path.name
+
+
+def test_series_csvs_reject_ragged_before_writing(tmp_path):
+    files = [(tmp_path / "a.csv", "P", np.zeros(3)), (tmp_path / "b.csv", "F", np.zeros(2))]
+    with pytest.raises(ValueError, match="2 values for 3 times"):
+        write_series_csvs(np.arange(3.0), files, {})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_probability_series_header(tmp_path):
