@@ -23,6 +23,7 @@ import numpy as np
 from . import classical, coherence, quantum
 from .errors import NoZeroCrossingError, NumericsError, ValidationError
 from .first_passage import (
+    MAX_SOLVE_POINTS,
     FirstPassageResult,
     cumulative_mass,
     deconvolve,
@@ -36,7 +37,7 @@ from .grid import Spectrum, TimeGrid
 MAX_HORIZON_DOUBLINGS = 8
 # names the solvers behind a cached record; change it whenever a solver
 # change moves outputs, so older cache entries are recomputed
-SOLVER_ID = "exp-sum+blocked-64"
+SOLVER_ID = "exp-sum+blocked-64-all-lengths"
 ENTROPY_S_VALUES = (0, 1, 2)
 # largest round-trip residual max|F * P_bb - P_ab| a run may return
 # (acceptance criterion 5); a solve that misses it fails instead
@@ -106,15 +107,17 @@ def run_pipeline(
     P_ab(t) deg(a) = P_ba(t) deg(b). The result carries both series.
 
     The classical F is the closed-form solve over the series' shared
-    rates, with F(0) the exact hop rate; the quantum F is deconvolved, on
-    grids with dt (lambda_max - lambda_min) < pi so that P(t) is not aliased.
+    rates, with F(0) the exact hop rate; the quantum F is deconvolved with
+    F(0) = 0, on grids with dt (lambda_max - lambda_min) < pi so that P(t)
+    is not aliased and of at most MAX_SOLVE_POINTS points.
     Classical horizons come from the killed-walk survival function (the
     F-mass crossing is used when it happens on the grid); quantum horizons
     start near the ballistic crossing time and double until the zero of F
     is on the grid.
 
     Raises NumericsError when the round-trip residual exceeds
-    QUANTUM_RESIDUAL_MAX or CLASSICAL_RESIDUAL_MAX.
+    QUANTUM_RESIDUAL_MAX or CLASSICAL_RESIDUAL_MAX, and ValidationError
+    when a quantum grid would exceed MAX_SOLVE_POINTS.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
@@ -159,9 +162,16 @@ def run_pipeline(
         residual_max = QUANTUM_RESIDUAL_MAX
 
         def series(grid: TimeGrid) -> np.ndarray:
+            if grid.n > MAX_SOLVE_POINTS:
+                raise ValidationError(
+                    f"the quantum solve on {grid.n} grid points exceeds the budget "
+                    f"of {MAX_SOLVE_POINTS}; raise dt"
+                )
             return quantum.transition_probabilities(model, target, (start, target), grid)
 
-        solve = deconvolve
+        def solve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
+            # d/dt |psi_a|^2 = 2 Re(conj(psi_a) psi_a') is 0 where psi_a(0) = 0
+            return deconvolve(p_ab, p_bb, grid, 0.0)
 
         def horizon(F: np.ndarray, grid: TimeGrid) -> float:
             return detect_tau0(F, grid, mode="quantum", eps=eps)

@@ -11,21 +11,18 @@ grid it becomes a lower-triangular Toeplitz system. When both series are
 exponential sums over the same real rates (the classical walk),
 solve_exp_sum gives its solution in closed form, O(modes^3 + T modes).
 For general series (the quantum walk), deconvolve solves the system by
-blocked forward substitution up to DIRECT_SOLVE_MAX points: every
-diagonal block is the same SOLVE_BLOCK-point Toeplitz matrix, inverted
-once per call, and each solved block enters the right-hand side of every
-later row through one vector-matrix product (Hairer, Lubich & Schlichte
-1985). Longer grids use a Newton power-series reciprocal with FFT
-convolutions (the same solution, O(T log T)). reconstruct, the round-trip
-check, is an FFT convolution and so independent of either solver.
+blocked forward substitution: every diagonal block is the same
+SOLVE_BLOCK-point Toeplitz matrix, inverted once per call, and each solved
+block enters the right-hand side of every later row through one
+vector-matrix product (Hairer, Lubich & Schlichte 1985). That costs
+O(T^2) time and a SOLVE_BLOCK x T coupling strip, so callers keep T
+within MAX_SOLVE_POINTS. reconstruct, the round-trip check, is an FFT
+convolution and so independent of the solver.
 
-solve_exp_sum takes F(0) from its caller; the classical walk passes the
-exact hop rate. deconvolve takes it from the initial slope of P_ab: a
-three-point forward difference of P_ab at the origin. That slope is
-exactly zero whenever start and target are not adjacent (every chain case
-with N >= 3, and all quantum cases), matching the F(0) = 0 convention; for
-adjacent pairs it supplies the nonzero limit, unless it is below dt and
-snapped to zero.
+Both solvers take F(0) from their caller, as an exact model quantity: the
+classical walk passes the hop rate start -> target, and the quantum walk
+passes 0, since d/dt |psi_a|^2 = 2 Re(conj(psi_a) psi_a') vanishes with
+psi_a(0) = 0.
 
 The mean first-passage time is the normalized first moment of F on
 [0, tau0], where tau0 is infinity (in practice an epsilon cutoff of the
@@ -50,7 +47,9 @@ from .errors import (
 )
 from .grid import TimeGrid, blocked_sum
 
-DIRECT_SOLVE_MAX = 4096
+# largest grid run_pipeline hands to deconvolve: the blocked solve costs
+# O(T^2) time, seconds at this size, and a SOLVE_BLOCK x T float strip (64 MB)
+MAX_SOLVE_POINTS = 1 << 17
 # unknowns per block of the blocked forward substitution; of 32, 64 and 128
 # points, 64 was the fastest on the quantum sweep's 1,201 to 3,611-point grids
 SOLVE_BLOCK = 64
@@ -73,18 +72,6 @@ class FirstPassageResult:
     reconstruction_error: float | None = None
     p_ab: np.ndarray | None = None
     p_bb: np.ndarray | None = None
-
-
-def _initial_rate(p_ab: np.ndarray, dt: float) -> float:
-    """F(0) = d/dt P_ab at t = 0, three-point forward difference.
-
-    Estimates below the stencil's own error scale are snapped to the
-    F(0) = 0 convention: a genuinely nonzero slope (start adjacent to the
-    target) is an O(1) hop rate, while the stencil noise on a flat start
-    is O(dt^2) or smaller.
-    """
-    slope = float((-3.0 * p_ab[0] + 4.0 * p_ab[1] - p_ab[2]) / (2.0 * dt))
-    return slope if abs(slope) > dt else 0.0
 
 
 def _check_inputs(p_ab: np.ndarray, p_bb: np.ndarray) -> None:
@@ -121,50 +108,19 @@ def _conv_trunc(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
-def _reciprocal_series(c: np.ndarray) -> np.ndarray:
-    """Power-series reciprocal of c (c[0] != 0) to the same truncation order.
+def _solve_blocked(b: np.ndarray, p_bb: np.ndarray, dt: float, f0: float) -> np.ndarray:
+    """Forward substitution over blocks of SOLVE_BLOCK unknowns.
 
-    Newton doubling: r <- 2r - c r^2, each round via FFT. The result is the
-    first column of the inverse of the lower-triangular Toeplitz matrix
-    whose first column is c.
-    """
-    T = len(c)
-    r = np.array([1.0 / c[0]])
-    m = 1
-    while m < T:
-        m2 = min(2 * m, T)
-        e = _conv_trunc(c[:m2], _conv_trunc(r, r, m2), m2)
-        r_new = -e
-        r_new[:m] += 2.0 * r
-        r = r_new
-        m = m2
-    return r
-
-
-def _trapezoid_system(
-    b: np.ndarray, p_bb: np.ndarray, dt: float, f0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """First column c and right-hand side of the product-trapezoid system.
-
-    Row n >= 1 reads rhs[n] = sum_{j=1..n} c[n - j] F[j], with
-    c = dt (1/2, P_bb[1], P_bb[2], ...) and the known F(0) = f0 moved to
-    the right-hand side; row 0 is trivial (rhs[0] = 0).
+    Row n >= 1 of the product-trapezoid system reads
+    rhs[n] = sum_{j=1..n} c[n - j] F[j], with c = dt (1/2, P_bb[1], ...)
+    and the known F(0) = f0 moved to the right-hand side. Each solved block
+    is subtracted from the right-hand side of every later row by one
+    vector-matrix product, so a row gathers its history one block at a
+    time; that rounds less than one long dot product per row.
     """
     c = dt * p_bb
     c[0] = 0.5 * dt
     rhs = b - (0.5 * dt * f0) * p_bb
-    rhs[0] = 0.0
-    return c, rhs
-
-
-def _solve_blocked(b: np.ndarray, p_bb: np.ndarray, dt: float, f0: float) -> np.ndarray:
-    """Forward substitution over blocks of SOLVE_BLOCK unknowns.
-
-    Each solved block is subtracted from the right-hand side of every later
-    row by one vector-matrix product, so a row gathers its history one
-    block at a time; that rounds less than one long dot product per row.
-    """
-    c, rhs = _trapezoid_system(b, p_bb, dt, f0)
     n = len(b) - 1  # unknowns F[1:]
     size = min(SOLVE_BLOCK, n)
     lag = np.arange(size)
@@ -186,18 +142,6 @@ def _solve_blocked(b: np.ndarray, p_bb: np.ndarray, dt: float, f0: float) -> np.
         F[lo + 1:hi + 1] = y
         if hi < n:
             x[hi:] -= y @ coupling[:, :n - hi]
-    return F
-
-
-def _solve_toeplitz(b: np.ndarray, p_bb: np.ndarray, dt: float, f0: float) -> np.ndarray:
-    T = len(b)
-    c, rhs = _trapezoid_system(b, p_bb, dt, f0)
-    r = _reciprocal_series(c)
-    F = _conv_trunc(r, rhs, T)
-    # one step of iterative refinement pushes the residual to rounding level
-    res = rhs - _conv_trunc(c, F, T)
-    F = F + _conv_trunc(r, res, T)
-    F[0] = f0
     return F
 
 
@@ -227,24 +171,19 @@ def solve_exp_sum(
     return F
 
 
-def deconvolve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Solve the renewal relation for F on the shared grid.
+def deconvolve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid, f0: float) -> np.ndarray:
+    """Solve the renewal relation for F on the shared grid, given F(0) = f0.
 
-    Blocked forward substitution up to DIRECT_SOLVE_MAX points (one shared
-    inverse of the SOLVE_BLOCK-point diagonal block, and one product per
-    block that moves it into the later rows), the FFT Toeplitz reciprocal
-    beyond. Both solve the same
-    product-trapezoid system and agree to rounding error.
+    Blocked forward substitution: one shared inverse of the SOLVE_BLOCK-point
+    diagonal block, and one product per block that moves it into the later
+    rows.
     """
     p_ab = np.asarray(p_ab, dtype=float)
     p_bb = np.asarray(p_bb, dtype=float)
     _check_inputs(p_ab, p_bb)
     if len(p_ab) != grid.n:
         raise GridMismatchError(f"series length {len(p_ab)} != grid length {grid.n}")
-    f0 = _initial_rate(p_ab, grid.dt)
-    if grid.n <= DIRECT_SOLVE_MAX:
-        return _solve_blocked(p_ab, p_bb, grid.dt, f0)
-    return _solve_toeplitz(p_ab, p_bb, grid.dt, f0)
+    return _solve_blocked(p_ab, p_bb, grid.dt, f0)
 
 
 def reconstruct(F: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -358,10 +297,11 @@ def extract_first_passage(
     p_ab: np.ndarray,
     p_bb: np.ndarray,
     grid: TimeGrid,
+    f0: float,
     mode: str,
     eps: float = 1e-6,
 ) -> FirstPassageResult:
     """Full deconvolve -> tau0 -> mean pipeline with a round-trip residual."""
-    F = deconvolve(p_ab, p_bb, grid)
+    F = deconvolve(p_ab, p_bb, grid, f0)
     tau0 = detect_tau0(F, grid, mode=mode, eps=eps)
     return first_passage_result(p_ab, p_bb, F, grid, tau0)

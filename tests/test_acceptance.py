@@ -149,7 +149,7 @@ def test_criterion_4_analytic_oracles():
     grid = TimeGrid.from_span(5.0, DT)
     p12 = transition_probabilities(h2, 1, (2,), grid)[0]
     p22 = transition_probabilities(h2, 2, (2,), grid)[0]
-    f = deconvolve(p12, p22, grid)
+    f = deconvolve(p12, p22, grid, 0.0)
     f_exact = np.sqrt(2.0) * np.sin(np.sqrt(2.0) * grid.times)
     ok_f = np.max(np.abs(f - f_exact)) <= 5e-4
 

@@ -13,6 +13,7 @@ from ctwalk import (
     path_graph,
 )
 from ctwalk.cli import main
+from ctwalk.first_passage import MAX_SOLVE_POINTS
 from ctwalk.io import config_line, fmt
 
 
@@ -157,6 +158,22 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_quantum_grid_exits_2_before_any_series(tmp_path, capsys, monkeypatch):
+    # dt = 1e-5 puts the first horizon, 12.3, on 1,230,001 points
+    def unreachable(*args):
+        raise AssertionError("series evaluated on an over-budget grid")
+
+    monkeypatch.setattr(experiments.quantum, "transition_probabilities", unreachable)
+    code = run(["simulate", "--walk", "quantum", "--N", 9, "--dt", "1e-5",
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the quantum solve on 1230001 grid points")
+    assert f"budget of {MAX_SOLVE_POINTS}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

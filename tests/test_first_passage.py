@@ -24,8 +24,7 @@ from ctwalk import (
     vertex_occupations,
 )
 import ctwalk.experiments as experiments
-import ctwalk.first_passage as first_passage
-from ctwalk.first_passage import SOLVE_BLOCK, _fft_size, _initial_rate, solve_exp_sum
+from ctwalk.first_passage import SOLVE_BLOCK, _fft_size, solve_exp_sum
 from ctwalk.grid import exp_sum
 from ctwalk.quantum import spectrum
 
@@ -75,7 +74,7 @@ def test_classical_two_path_is_unit_exponential():
     # independent check of the analytic solution itself (quadrature, no solver)
     forward = reconstruct(f_exact, p22, grid)
     assert np.max(np.abs(forward - p12)) < 1e-4
-    f = deconvolve(p12, p22, grid)
+    f = deconvolve(p12, p22, grid, 1.0)
     assert np.max(np.abs(f - f_exact)) < 5e-4
 
 
@@ -86,55 +85,44 @@ def test_quantum_two_path_is_scaled_sine():
     f_exact = np.sqrt(2.0) * np.sin(np.sqrt(2.0) * t)
     forward = reconstruct(f_exact, p22, grid)
     assert np.max(np.abs(forward - p12)) < 1e-4
-    f = deconvolve(p12, p22, grid)
+    f = deconvolve(p12, p22, grid, 0.0)
     assert np.max(np.abs(f - f_exact)) < 5e-4
 
 
 def test_zero_input_gives_zero_density():
     _, p22, grid = quantum_pair(2, 3.0)
-    f = deconvolve(np.zeros(grid.n), p22, grid)
+    f = deconvolve(np.zeros(grid.n), p22, grid, 0.0)
     assert np.array_equal(f, np.zeros(grid.n))
     assert np.array_equal(reconstruct(np.zeros(grid.n), p22, grid), np.zeros(grid.n))
 
 
-def test_direct_and_fft_solvers_agree(monkeypatch):
-    p19, p99, grid = quantum_pair(9, 14.0)
-    c_ab, c_bb, cgrid = classical_pair(5, 120.0)
-    monkeypatch.setattr(first_passage, "DIRECT_SOLVE_MAX", 1 << 30)
-    q_direct = deconvolve(p19, p99, grid)
-    c_direct = deconvolve(c_ab, c_bb, cgrid)
-    monkeypatch.setattr(first_passage, "DIRECT_SOLVE_MAX", 0)
-    assert np.max(np.abs(q_direct - deconvolve(p19, p99, grid))) < 1e-9
-    assert np.max(np.abs(c_direct - deconvolve(c_ab, c_bb, cgrid))) < 1e-9
-
-
 def side_chain_pair(walk, start, target, n, s=0):
-    """Series of a start -> target pair on an n-point grid: P_ab, P_bb, grid."""
+    """Series of a start -> target pair on an n-point grid: P_ab, P_bb, exact F(0), grid."""
     g = build_side_chain_graph(SideChainConfig(N=5, S=s, offset=0))
     grid = TimeGrid(dt=DT, n=n)
     if walk == "quantum":
         h = spectrum(g)
         p_ab = transition_probabilities(h, start, (target,), grid)[0]
         p_bb = transition_probabilities(h, target, (target,), grid)[0]
+        f0 = 0.0
     else:
         rm = build_rate_matrix(g)
         p_ab = vertex_occupations(rm, start, (target,), grid)[0]
         p_bb = vertex_occupations(rm, target, (target,), grid)[0]
-    return p_ab, p_bb, grid
+        f0 = rm.matrix[target - 1, start - 1]
+    return p_ab, p_bb, f0, grid
 
 
 @pytest.mark.parametrize("n", [3, 4, SOLVE_BLOCK, SOLVE_BLOCK + 1, SOLVE_BLOCK + 2,
-                               2 * SOLVE_BLOCK + 7, 3611])
+                               2 * SOLVE_BLOCK + 7, 3611, 12301])
 @pytest.mark.parametrize("walk, start, target, s", [
     ("quantum", 1, 5, 0), ("classical", 1, 5, 0), ("classical", 4, 5, 2),
 ], ids=["quantum", "classical", "classical-adjacent"])
 def test_blocked_solve_matches_forward_substitution(n, walk, start, target, s):
-    p_ab, p_bb, grid = side_chain_pair(walk, start, target, n, s)
-    assert grid.n <= first_passage.DIRECT_SOLVE_MAX
-    f0 = _initial_rate(p_ab, grid.dt)
-    assert (f0 != 0.0) == (target - start == 1)
+    p_ab, p_bb, f0, grid = side_chain_pair(walk, start, target, n, s)
+    assert (f0 != 0.0) == (walk == "classical" and target - start == 1)
     ref = forward_substitution(p_ab, p_bb, grid.dt, f0)
-    f = deconvolve(p_ab, p_bb, grid)
+    f = deconvolve(p_ab, p_bb, grid, f0)
     assert np.max(np.abs(f - ref)) < 1e-9
     residual = np.max(np.abs(reconstruct(f, p_bb, grid) - p_ab))
     ref_residual = np.max(np.abs(reconstruct(ref, p_bb, grid) - p_ab))
@@ -147,13 +135,13 @@ def test_blocked_solve_matches_forward_substitution(n, walk, start, target, s):
 
 def test_quantum_round_trip_nine_path():
     p19, p99, grid = quantum_pair(9, 14.0)
-    f = deconvolve(p19, p99, grid)
+    f = deconvolve(p19, p99, grid, 0.0)
     assert np.max(np.abs(reconstruct(f, p99, grid) - p19)) < 1e-4
 
 
 def test_classical_round_trip_nine_path():
     p19, p99, grid = classical_pair(9, 900.0)
-    f = deconvolve(p19, p99, grid)
+    f = deconvolve(p19, p99, grid, 0.0)
     assert np.max(np.abs(reconstruct(f, p99, grid) - p19)) < 1e-5
 
 
@@ -163,14 +151,14 @@ def test_classical_round_trip_nine_path():
 
 def test_quantum_two_path_horizon():
     p12, p22, grid = quantum_pair(2, 5.0)
-    f = deconvolve(p12, p22, grid)
+    f = deconvolve(p12, p22, grid, 0.0)
     tau0 = detect_tau0(f, grid, mode="quantum")
     assert tau0 == pytest.approx(np.pi / np.sqrt(2.0), abs=1e-3)
 
 
 def test_classical_two_path_horizon_is_log_eps():
     p12, p22, grid = classical_pair(2, 16.0)
-    f = deconvolve(p12, p22, grid)
+    f = deconvolve(p12, p22, grid, 1.0)
     tau0 = detect_tau0(f, grid, mode="classical", eps=1e-6)
     assert tau0 == pytest.approx(-np.log(1e-6), abs=0.02)
 
@@ -196,7 +184,7 @@ def test_classical_truncation_warns():
 
 def test_classical_two_path_mean_is_one():
     p12, p22, grid = classical_pair(2, 16.0)
-    f = deconvolve(p12, p22, grid)
+    f = deconvolve(p12, p22, grid, 1.0)
     tau0 = detect_tau0(f, grid, mode="classical")
     result = mean_fpt(f, grid, tau0)
     assert result.tau == pytest.approx(1.0, abs=1e-4)
@@ -204,7 +192,7 @@ def test_classical_two_path_mean_is_one():
 
 def test_quantum_two_path_mean():
     p12, p22, grid = quantum_pair(2, 5.0)
-    f = deconvolve(p12, p22, grid)
+    f = deconvolve(p12, p22, grid, 0.0)
     tau0 = detect_tau0(f, grid, mode="quantum")
     result = mean_fpt(f, grid, tau0)
     # integrals of t sqrt(2) sin(sqrt(2) t) over [0, pi/sqrt(2)] give pi sqrt(2)/4
@@ -237,7 +225,7 @@ def test_tau0_outside_grid_rejected():
 def test_classical_density_nonnegative_and_mass_monotone():
     for n, t_end in [(9, 900.0), (5, 260.0)]:
         p_ab, p_bb, grid = classical_pair(n, t_end)
-        f = deconvolve(p_ab, p_bb, grid)
+        f = deconvolve(p_ab, p_bb, grid, 0.0)
         assert f.min() > -1e-9
         mass = cumulative_mass(f, grid)
         assert np.diff(mass).min() > -1e-9
@@ -260,14 +248,14 @@ def test_bad_kernel_rejected():
     good = np.zeros(grid.n)
     bad_kernel = np.full(grid.n, 0.5)
     with pytest.raises(NumericsError):
-        deconvolve(good, bad_kernel, grid)
+        deconvolve(good, bad_kernel, grid, 0.0)
 
 
 def test_nonzero_start_rejected():
     grid = TimeGrid.from_span(1.0, DT)
     kernel = np.ones(grid.n)
     with pytest.raises(ValidationError):
-        deconvolve(np.ones(grid.n), kernel, grid)
+        deconvolve(np.ones(grid.n), kernel, grid, 0.0)
 
 
 def test_grid_mismatch_rejected():
@@ -275,7 +263,7 @@ def test_grid_mismatch_rejected():
     from ctwalk import GridMismatchError
 
     with pytest.raises(GridMismatchError):
-        deconvolve(np.zeros(grid.n), np.ones(grid.n - 1), grid)
+        deconvolve(np.zeros(grid.n), np.ones(grid.n - 1), grid, 0.0)
     with pytest.raises(GridMismatchError):
         reconstruct(np.zeros(grid.n - 1), np.ones(grid.n - 1), grid)
 
@@ -365,8 +353,8 @@ def test_classical_pipeline_matches_forward_substitution(monkeypatch, n, s):
     assert exact.tau0 == ref.tau0
 
 
-def test_classical_pipeline_uses_exact_initial_rate():
-    """dt = 0.2 is coarser than the hop rate 1/6, which the slope estimate snaps to 0."""
+def test_classical_pipeline_uses_exact_hop_rate():
+    """F(0) is the hop rate 1/6 from the model, even where dt = 0.2 is coarser than it."""
     g = star_graph(7)
     result, _ = experiments.run_pipeline(build_rate_matrix(g), 7, 0.2, 1e-6)
     oracle = mfpt_linear_solve(g, 1, 7)
