@@ -5,8 +5,9 @@ fit), ancillary (sticky-tail and ring estimators vs the convolution
 result), montecarlo (ensemble sampling vs the convolution result), and
 entropy (coherence diagnostics).
 
-Exit codes: 0 success, 1 numerical failure, 2 invalid input. Flags can be
-preloaded from a plain key=value file via --config; explicit flags win.
+Exit codes: 0 success, 1 numerical failure or a worker process that died,
+2 invalid input. Flags can be preloaded from a plain key=value file via
+--config; explicit flags win.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .open_quantum import (
     sticky_first_passage,
     evolve_lindblad,
 )
+from .parallel import WorkerDied
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -84,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--N-range", default="3:43:2", help="start:stop:step, stop inclusive")
     p_sweep.add_argument("--S-set", default="0,1,2", help="comma-separated side-chain lengths")
     p_sweep.add_argument("--offset", type=int, default=0)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="processes to run cases on, this one included")
     p_sweep.add_argument("--cache-dir", type=Path, default=None,
                          help="case cache (default <out-dir>/cache)")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -321,7 +324,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         "capped_fraction": hist.n_capped / hist.n_traj,
     }
     io.write_json(args.out_dir / "comparison.json", payload, config)
-    print(f"L1 distance = {l1:.4f}  mean = {hist.empirical_mean:.3f} -> {args.out_dir}")
+    mean = "n/a" if hist.empirical_mean is None else f"{hist.empirical_mean:.3f}"
+    print(f"L1 distance = {l1:.4f}  mean = {mean} -> {args.out_dir}")
     if hist.n_capped:
         print(f"note: {hist.n_capped} of {hist.n_traj} trajectories "
               f"({hist.n_capped / hist.n_traj:.1%}) passed --t-cap {args.t_cap:g}; "
@@ -386,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericsError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except WorkerDied as exc:
+        print(f"error: worker process died: {exc}", file=sys.stderr)
         return 1
 
 

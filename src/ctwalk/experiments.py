@@ -4,8 +4,8 @@ A case is one (N, S, offset, walk) pipeline run: build the graph, evolve
 from the target, deconvolve, find the horizon, take the mean. Sweeps over
 many cases are cached on disk keyed by (N, S, offset, walk, dt) so large
 tables rerun incrementally; each entry also stores the eps it was run at
-and the SOLVER_ID of the code that wrote it. Independent cases can run in
-a process pool.
+and the SOLVER_ID of the code that wrote it. Independent cases can run on
+several processes (parallel.ordered_map).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .first_passage import (
 )
 from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain_graph
 from .grid import Spectrum, TimeGrid
+from .parallel import ordered_map
 
 MAX_HORIZON_DOUBLINGS = 8
 # names the solvers behind a cached record; change it whenever a solver
@@ -330,20 +330,16 @@ def sweep(
     cache_dir: str | Path | None = None,
     jobs: int = 1,
 ) -> list[SweepRecord]:
-    """All (N, S) cases at a fixed offset, optionally in parallel.
+    """All (N, S) cases at a fixed offset, on up to jobs processes.
 
     The output order is the deterministic product order of ns and s_values,
-    independent of scheduling. The pool never outgrows the CPU count or the
-    number of cases.
+    independent of scheduling. The busy processes, this one included, never
+    outnumber the usable CPUs or the cases; jobs=1 runs in this process.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     cases = [(n, s, offset, walk, dt, eps, cache_dir) for n in ns for s in s_values]
-    workers = min(jobs, os.cpu_count() or 1, len(cases))
-    if workers <= 1:
-        return [_case_worker(c) for c in cases]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_case_worker, cases))
+    return list(ordered_map(_case_worker, cases, max_workers=jobs))
 
 
 def group_by_n(records: list[SweepRecord]) -> dict[int, dict[int, SweepRecord]]:

@@ -8,7 +8,9 @@ simulation).
 Sampling is vectorized over fixed-size batches of BATCH_SIZE trajectories.
 Each batch draws from its own seeded substream, spawned from (seed, batch
 index), so results are bit-reproducible for a given seed and the first k
-trajectories do not depend on how many batches follow.
+trajectories do not depend on how many batches follow. The batches run on
+every CPU in the affinity mask (parallel.ordered_map) and are gathered in
+batch order, so the results are also independent of the worker count.
 
 Determinism contract: a batch carries only its live trajectories (vertex,
 time and index into the batch), in batch order. Every step draws
@@ -23,12 +25,14 @@ is compacted with one mask so the survivors keep their order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
 from .grid import _check_positive
+from .parallel import ordered_map
 
 BATCH_SIZE = 100_000
 # most histogram bins a run may ask for (t_cap / bin_width); each array
@@ -47,13 +51,16 @@ class FirstPassageHistogram:
     n_capped: int
 
     @property
-    def empirical_mean(self) -> float:
-        return float(np.mean(self.hitting_times[np.isfinite(self.hitting_times)]))
+    def empirical_mean(self) -> float | None:
+        """Mean of the finite hitting times; None if every trajectory was capped."""
+        finite = self.hitting_times[np.isfinite(self.hitting_times)]
+        return float(np.mean(finite)) if len(finite) else None
 
     @property
-    def empirical_stderr(self) -> float:
+    def empirical_stderr(self) -> float | None:
+        """Standard error of that mean; None if every trajectory was capped."""
         finite = self.hitting_times[np.isfinite(self.hitting_times)]
-        return float(np.std(finite) / np.sqrt(len(finite)))
+        return float(np.std(finite) / np.sqrt(len(finite))) if len(finite) else None
 
 
 def _neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -71,11 +78,13 @@ def _run_batch(
     deg: np.ndarray,
     start: int,
     target: int,
-    n: int,
-    rng: np.random.Generator,
     t_cap: float,
+    batch: tuple[int, np.random.SeedSequence],
 ) -> tuple[np.ndarray, int]:
-    """Hitting times of n trajectories (inf if capped) and the capped count."""
+    """Hitting times (inf if capped) and capped count of a batch of n
+    trajectories drawn from its substream, batch being (n, substream)."""
+    n, stream = batch
+    rng = np.random.default_rng(stream)
     width = table.shape[1]
     flat = table.ravel()
     pos = np.full(n, start - 1, dtype=np.intp)
@@ -145,15 +154,10 @@ def gillespie_first_passage(
     table, deg = _neighbor_table(g)
     n_batches = (n_traj + BATCH_SIZE - 1) // BATCH_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_batches)
-    parts = []
-    capped = 0
-    for i in range(n_batches):
-        count = min(BATCH_SIZE, n_traj - i * BATCH_SIZE)
-        rng = np.random.default_rng(streams[i])
-        hits, c = _run_batch(table, deg, start, target, count, rng, t_cap)
-        parts.append(hits)
-        capped += c
-    hitting_times = np.concatenate(parts)
+    batches = [(min(BATCH_SIZE, n_traj - i * BATCH_SIZE), s) for i, s in enumerate(streams)]
+    parts = list(ordered_map(partial(_run_batch, table, deg, start, target, t_cap), batches))
+    hitting_times = np.concatenate([hits for hits, _ in parts])
+    capped = sum(c for _, c in parts)
     finite = hitting_times[np.isfinite(hitting_times)]
     top = float(finite.max()) if len(finite) else bin_width
     edges = np.arange(0.0, top + bin_width, bin_width)

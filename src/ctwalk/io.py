@@ -7,20 +7,24 @@ double exactly. CSV rows are formatted in blocks of about BLOCK_CELLS
 values, one %-format per block; the bytes are the same as formatting each
 cell on its own with fmt. Files that share a time column, such as
 simulate's P_ab, P_bb and F series, are written together by
-write_series_csvs, which formats each block of times once for all of them;
-their bytes are unchanged.
+write_series_csvs, which formats each block of times once for all of them.
+The blocks are formatted by parallel.ordered_map, on every CPU in the
+affinity mask, and written in order, so the bytes do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .classical import ProbabilitySeries
+from .parallel import ordered_map
 from .quantum import AmplitudeSeries
 
 # Cells per formatting block: bounds the transient lists and strings of a
@@ -37,6 +41,16 @@ def config_line(config: Mapping[str, Any]) -> str:
     return f"# config: {parts}"
 
 
+def _columns_block(columns: Sequence[np.ndarray], step: int, lo: int) -> bytes:
+    """Rows lo to lo + step of the columns, encoded."""
+    block = np.column_stack(
+        [np.asarray(c[lo:lo + step], dtype=np.float64) for c in columns]
+    )
+    # "%.17g" % x and fmt(x) give the same digits for every double
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
 def write_columns_csv(
     path: str | Path,
     header: Sequence[str],
@@ -47,18 +61,34 @@ def write_columns_csv(
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
-    rows = len(columns[0])
     step = max(1, BLOCK_CELLS // len(columns))
-    # "%.17g" % x and fmt(x) give the same digits for every double
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(config_line(config) + "\n")
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, rows, step):
-            block = np.column_stack(
-                [np.asarray(c[lo:lo + step], dtype=np.float64) for c in columns]
-            )
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    blocks = range(0, len(columns[0]), step)
+    with open(path, "wb") as fh, closing(
+        ordered_map(partial(_columns_block, columns, step), blocks)
+    ) as encoded:
+        fh.write(f"{config_line(config)}\n{','.join(header)}\n".encode())
+        for chunk in encoded:
+            fh.write(chunk)
+
+
+def _series_block(times: np.ndarray, values: Sequence[np.ndarray], step: int,
+                  lo: int) -> list[bytes]:
+    """Rows lo to lo + step of each t,<value> file, encoded.
+
+    The block's t values are formatted once, as "%.17g," row prefixes that
+    every file's rows then reuse.
+    """
+    t = np.asarray(times[lo:lo + step], dtype=np.float64).tolist()
+    n = len(t)
+    # "%.17g" prints no line break, so the split gives n prefixes
+    cells: list[Any] = [None] * (2 * n)
+    cells[0::2] = (("%.17g,\n" * n) % tuple(t)).splitlines()
+    row = "%s%.17g\n" * n
+    encoded = []
+    for v in values:
+        cells[1::2] = np.asarray(v[lo:lo + step], dtype=np.float64).tolist()
+        encoded.append((row % tuple(cells)).encode())
+    return encoded
 
 
 def write_series_csvs(
@@ -69,28 +99,23 @@ def write_series_csvs(
     """Write one t,<name> file per (path, name, values), all on the same times.
 
     The bytes of each file are those of write_columns_csv(path, ["t", name],
-    [times, values], config). Each block's t values are formatted once, as
-    "%.17g," row prefixes that every file's block then reuses.
+    [times, values], config); each block's t values are formatted once for
+    all the files.
     """
     rows = len(times)
     for path, _, values in files:
         if len(values) != rows:
             raise ValueError(f"{path}: {len(values)} values for {rows} times")
     step = max(1, BLOCK_CELLS // 2)
+    format_block = partial(_series_block, times, [values for _, _, values in files], step)
     with ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w")) for path, _, _ in files]
+        handles = [stack.enter_context(open(path, "wb")) for path, _, _ in files]
         for fh, (_, name, _) in zip(handles, files):
-            fh.write(f"{config_line(config)}\nt,{name}\n")
-        for lo in range(0, rows, step):
-            t = np.asarray(times[lo:lo + step], dtype=np.float64).tolist()
-            n = len(t)
-            # "%.17g" prints no line break, so the split gives n prefixes
-            cells: list[Any] = [None] * (2 * n)
-            cells[0::2] = (("%.17g,\n" * n) % tuple(t)).splitlines()
-            row = "%s%.17g\n" * n
-            for fh, (_, _, values) in zip(handles, files):
-                cells[1::2] = np.asarray(values[lo:lo + step], dtype=np.float64).tolist()
-                fh.write(row % tuple(cells))
+            fh.write(f"{config_line(config)}\nt,{name}\n".encode())
+        encoded = stack.enter_context(closing(ordered_map(format_block, range(0, rows, step))))
+        for chunks in encoded:
+            for fh, chunk in zip(handles, chunks):
+                fh.write(chunk)
 
 
 def write_probability_series_csv(

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +11,11 @@ from ctwalk import (
     SideChainConfig,
     build_side_chain_graph,
     experiments,
+    gillespie,
+    io,
     mfpt_linear_solve,
     open_quantum,
+    parallel,
     path_graph,
 )
 from ctwalk.cli import main
@@ -355,3 +361,76 @@ def test_entropy_outputs(tmp_path):
         assert doc["S"] == s and 0.0 <= doc["avg_entropy"] <= 1.0
         lines = (tmp_path / f"entropy_S{s}.csv").read_text().splitlines()
         assert lines[1] == "t,E"
+
+
+def test_montecarlo_all_capped_writes_strict_json(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["montecarlo", "--N", 9, "--n-traj", 1000, "--t-cap", 0.5,
+                    "--out-dir", tmp_path])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((tmp_path / "comparison.json").read_text(), parse_constant=reject)
+    assert doc["n_capped"] == 1000
+    assert doc["empirical_mean"] is None and doc["empirical_stderr"] is None
+    assert "the mean is over finite hitting times only" in capsys.readouterr().out
+
+
+def count_pools(monkeypatch):
+    """Record each pool started, keeping the real one."""
+    started = []
+    make_pool = parallel._make_pool
+
+    def recording(workers, fn):
+        started.append(workers)
+        return make_pool(workers, fn)
+
+    monkeypatch.setattr(parallel, "_make_pool", recording)
+    return started
+
+
+def test_parallel_commands_leave_no_worker_behind(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(io, "BLOCK_CELLS", 1 << 10)
+    monkeypatch.setattr(gillespie, "BATCH_SIZE", 1000)
+    started = count_pools(monkeypatch)
+    assert run(["simulate", "--walk", "classical", "--N", 9, "--out-dir", tmp_path / "s"]) == 0
+    assert run(["montecarlo", "--N", 5, "--n-traj", 5000, "--out-dir", tmp_path / "m"]) == 0
+    assert started == [1, 1]
+    assert multiprocessing.active_children() == []
+
+
+def test_serial_commands_start_no_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+    def no_pool(workers, fn):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(parallel, "_make_pool", no_pool)
+    assert run(["sweep", "--N-range", "3:7:2", "--S-set", "0,1", "--jobs", 1,
+                "--out-dir", tmp_path / "sweep"]) == 0
+    assert run(["entropy", "--N", 9, "--out-dir", tmp_path / "entropy"]) == 0
+
+
+def test_dead_worker_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(io, "BLOCK_CELLS", 1 << 10)
+    parent = os.getpid()
+    series_block = io._series_block
+
+    def dies_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return series_block(*args)
+
+    monkeypatch.setattr(io, "_series_block", dies_in_worker)
+    code = run(["simulate", "--walk", "classical", "--N", 9, "--out-dir", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: worker process died: ")
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []

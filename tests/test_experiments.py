@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ctwalk import (
     from_edge_list_text,
     mfpt_linear_solve,
     offset_study,
+    parallel,
     run_case,
     side_chain_deltas,
     speedup_fit,
@@ -226,33 +228,38 @@ def test_parallel_sweep_matches_serial(tmp_path):
 
 
 @pytest.mark.parametrize("jobs,cpus,workers", [
-    (64, 3, 3),     # capped by the CPU count
+    (64, 3, 3),     # capped by the usable CPUs
     (64, 8, 4),     # capped by the number of cases
     (2, 8, 2),      # as asked
-    (64, None, None),  # unknown CPU count: one worker, no pool
+    (64, None, None),  # unknown CPU count: one process, no pool
 ])
 def test_sweep_pool_size_is_capped(monkeypatch, jobs, cpus, workers):
+    """workers counts the processes running cases: the pool's and this one."""
     sizes = []
 
     class RecordingPool:
         """Serial stand-in for the process pool; records the size it was asked for."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, fn):
             sizes.append(max_workers)
+            self.fn = fn
 
-        def __enter__(self):
-            return self
+        def submit(self, call, item):
+            future = Future()
+            future.set_result(self.fn(item))
+            return future
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait, cancel_futures):
+            pass
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(parallel, "_make_pool", RecordingPool)
+    if cpus is None:  # no affinity mask to read and no CPU count
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     records = sweep([3, 5], [0, 1], 0, "quantum", jobs=jobs)
-    assert sizes == ([] if workers is None else [workers])
+    assert sizes == ([] if workers is None else [workers - 1])
     assert [(r.N, r.S) for r in records] == [(3, 0), (3, 1), (5, 0), (5, 1)]
 
 

@@ -11,6 +11,7 @@ from ctwalk import (
     gillespie_first_passage,
     histogram_density_l1,
     mfpt_linear_solve,
+    parallel,
     path_graph,
 )
 
@@ -65,6 +66,21 @@ def test_batch_substreams_are_stable_under_total_count(monkeypatch):
     short = gillespie_first_passage(path_graph(3), 1, 3, 700, seed=9, bin_width=0.5)
     long = gillespie_first_passage(path_graph(3), 1, 3, 1400, seed=9, bin_width=0.5)
     assert np.array_equal(short.hitting_times[:500], long.hitting_times[:500])
+
+
+@pytest.mark.parametrize("t_cap", [1e4, 5.0], ids=["uncapped", "capped"])
+def test_sample_does_not_depend_on_the_worker_count(monkeypatch, t_cap):
+    monkeypatch.setattr(gillespie_mod, "BATCH_SIZE", 300)  # 7 batches
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        runs.append(gillespie_first_passage(path_graph(9), 1, 9, 2000, seed=5,
+                                            bin_width=1.0, t_cap=t_cap))
+    assert (runs[0].n_capped > 0) == (t_cap == 5.0)
+    for other in runs[1:]:
+        assert np.array_equal(other.hitting_times, runs[0].hitting_times)
+        assert other.n_capped == runs[0].n_capped
+        assert np.array_equal(other.density, runs[0].density)
 
 
 def test_time_cap_counts_not_drops():

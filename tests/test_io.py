@@ -1,9 +1,10 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from ctwalk import TimeGrid, build_rate_matrix, evolve_master, io, path_graph
+from ctwalk import TimeGrid, build_rate_matrix, evolve_master, io, parallel, path_graph
 from ctwalk.io import (
     config_line,
     fmt,
@@ -103,6 +104,31 @@ def test_series_csvs_match_columns_writer(tmp_path, monkeypatch, rows):
         ref = tmp_path / "ref.csv"
         write_columns_csv(ref, ["t", name], [times, values], config)
         assert path.read_bytes() == ref.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("rows", [0, 1, 16, 49], ids=["header-only", "1", "block", "3block+1"])
+def test_writers_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(io, "BLOCK_CELLS", 32)  # 16 rows per block in both writers
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        2.225073858507201e-308, 1e-310, 1.7976931348623157e308, 0.1 + 0.2])
+    rng = np.random.default_rng(rows)
+    times = np.arange(rows) * 0.01
+    series = {"P": np.resize(special, rows),
+              "F": rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64)}
+    config = {"N": 9, "walk": "classical"}
+    expected = {name: _per_cell_reference(["t", name], [times, values], config).encode()
+                for name, values in series.items()}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        out.mkdir()
+        write_series_csvs(times, [(out / f"{name}.csv", name, values)
+                                  for name, values in series.items()], config)
+        for name, values in series.items():
+            write_columns_csv(out / f"{name}_columns.csv", ["t", name], [times, values], config)
+            assert (out / f"{name}.csv").read_bytes() == expected[name], (cpus, name)
+            assert (out / f"{name}_columns.csv").read_bytes() == expected[name], (cpus, name)
+    assert multiprocessing.active_children() == []
 
 
 def test_series_csvs_reject_ragged_before_writing(tmp_path):
