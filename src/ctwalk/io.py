@@ -3,21 +3,29 @@
 Every file starts with (CSV) or embeds (JSON) the exact configuration that
 produced it, so outputs are self-describing and reruns are comparable.
 Floats are written with 17 significant digits, enough to round-trip a
-double exactly. CSV rows are formatted in blocks of about BLOCK_CELLS
-values, one %-format per block; the bytes are the same as formatting each
-cell on its own with fmt. Files that share a time column, such as
-simulate's P_ab, P_bb and F series, are written together by
-write_series_csvs, which formats each block of times once for all of them.
-The blocks are formatted by parallel.ordered_map, on every CPU in the
-affinity mask, and written in order, so the bytes do not depend on the
-worker count.
+double exactly: each CSV cell holds the bytes of "%.17g" % float(x), as
+fmt(x) does. CSV rows are encoded in blocks of about BLOCK_CELLS values by
+a vectorised encoder. For finite x with 1e-280 <= |x| < 1e281 it scales |x|
+into [1e16, 1e17) by a power of ten as a double-double (Dekker's exact
+product against a two-double table of 10**k), which is within 1e-13 of the
+exact value, rounds that half to even to 17 digits and lays out %g's fixed
+or exponent notation with numpy byte operations. Zeros, infinities, nans,
+values outside that range and values whose scaled fraction lies within
+1e-6 of a half, where the rounding is not certain, are formatted by "%"
+itself. Files that share a time column, such as simulate's P_ab, P_bb and
+F series, are written together by write_series_csvs, which encodes each
+block of times once for all of them. The blocks are encoded by
+parallel.ordered_map, on every CPU in the affinity mask, and written in
+order, so the bytes do not depend on the worker count. On a 2-vCPU host
+simulate --walk classical --N 43 --S 2 writes its three files (249 MB) in
+about 1.2 s, and in 1.9 s on one CPU.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import ExitStack, closing
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -27,7 +35,7 @@ from .classical import ProbabilitySeries
 from .parallel import ordered_map
 from .quantum import AmplitudeSeries
 
-# Cells per formatting block: bounds the transient lists and strings of a
+# Cells per encoding block: bounds the transient arrays and bytes of a
 # block whatever the column count.
 BLOCK_CELLS = 1 << 17
 
@@ -41,14 +49,189 @@ def config_line(config: Mapping[str, Any]) -> str:
     return f"# config: {parts}"
 
 
+# The "%.17g" encoder. _cells lays each value out in _CELL byte slots, with
+# a 0 in every slot that prints nothing:
+#   0      "-" of a negative value
+#   1-5    "0." and up to three zeros, in fixed notation below 1
+#   6-23   the 17 digits, trailing zeros dropped, with "." inserted
+#   24-28  "e", the exponent's sign and its two or three digits
+_CELL = 29
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
+# The fast path's range; the powers 10**k it scales by, with one step of
+# exponent correction either way.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e281
+_POW_MIN, _POW_MAX = -266, 298
+# Half-way cases closer than this are handed to "%": the scaled value's
+# error is below 1e-13.
+_TIE_MARGIN = 1e-6
+
+
+@cache
+def _pow10() -> np.ndarray:
+    """Rows hi, hi_head, hi_tail, lo over k = _POW_MIN.._POW_MAX.
+
+    hi + lo is 10**k to about 2**-106 relative; hi_head + hi_tail is Dekker's
+    split of hi. Built from exact ints, whose true division rounds correctly.
+    """
+    table = np.empty((4, _POW_MAX - _POW_MIN + 1))
+    for i, k in enumerate(range(_POW_MIN, _POW_MAX + 1)):
+        if k >= 0:
+            hi = float(10**k)
+            lo = float(10**k - int(hi))
+        else:
+            den = 10**-k
+            hi = 1 / den
+            num, scale = hi.as_integer_ratio()
+            lo = (scale - num * den) / (scale * den)
+        head = _SPLIT * hi - (_SPLIT * hi - hi)
+        table[:, i] = hi, head, hi - head, lo
+    return table
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ax * 10**(16 - e) as a double-double s + s_lo (Dekker's TwoProduct)."""
+    hi, head, tail, lo = np.take(_pow10(), 16 - _POW_MIN - e, axis=1)
+    c = _SPLIT * ax
+    ah = c - (c - ax)
+    al = ax - ah
+    p = ax * hi
+    t = ((((ah * head - p) + ah * tail) + al * head) + al * tail) + ax * lo
+    s = p + t
+    return s, t - (s - p)
+
+
+def _outside(s: np.ndarray, s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether s + s_lo is below 1e16, and whether it is 1e17 or more."""
+    return ((s < 1e16) | ((s == 1e16) & (s_lo < 0)),
+            (s > 1e17) | ((s == 1e17) & (s_lo >= 0)))
+
+
+def _round17(s: np.ndarray, s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Round s + s_lo in [1e16, 1e17) half to even: the 17-digit integers D,
+    whether D carried into 1e17 (then D is 1e16 and the exponent rises by
+    one), and whether the rounding is certain (not within _TIE_MARGIN of a
+    half). s is an integer there, so only s_lo has a fraction."""
+    whole = np.floor(s_lo)
+    frac = s_lo - whole
+    d = s.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10**17
+    d -= carry * (9 * 10**16)
+    return d, carry, np.abs(frac - 0.5) >= _TIE_MARGIN
+
+
+def _fallback(values: np.ndarray) -> np.ndarray:
+    """Rows of _CELL bytes of "%.17g" % x for the values the fast path skips."""
+    text = b"".join(("%.17g" % x).encode().ljust(_CELL, b"\0") for x in values.tolist())
+    return np.frombuffer(text, np.uint8).reshape(len(values), _CELL)
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """The (_CELL, n) slot bytes of "%.17g" % float(x) for each value x.
+
+    Finite x with _FAST_MIN <= |x| < _FAST_MAX take the fast path: with
+    e = floor(log10|x|), S = |x| * 10**(16 - e) lies in [1e16, 1e17), and
+    rounding S half to even gives the 17 digits D. S is a double-double
+    within 1e-13 of exact, so D is certain unless S is within _TIE_MARGIN
+    of a half. The other values, and those near a half, go to _fallback.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    n = len(x)
+    u8 = np.uint8
+    ax = np.abs(x)
+    fast = (ax >= _FAST_MIN) & (ax < _FAST_MAX)
+    ax[~fast] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    s, s_lo = _scaled(ax, e)
+    # log10 can be one off next to a power of ten
+    low, high = _outside(s, s_lo)
+    off = np.flatnonzero(low | high)
+    if len(off):
+        e[off] += high[off].astype(np.int64) - low[off]
+        s[off], s_lo[off] = _scaled(ax[off], e[off])
+        fast[off] &= ~np.logical_or(*_outside(s[off], s_lo[off]))
+    d, carry, certain = _round17(s, s_lo)
+    e += carry
+    fast &= certain
+
+    # digits[1 + j] is digit j; rows 0 and 18 pad the shifted views below
+    digits = np.empty((19, n), u8)
+    hi = (d // 10**8).astype(np.uint32)
+    halves = np.stack([hi % 10**8, (d - hi.astype(np.int64) * 10**8).astype(np.uint32)])
+    digits[1] = hi // 10**8
+    by_half = digits[2:18].reshape(2, 8, n)
+    for j in range(7, -1, -1):
+        rest = halves // 10
+        by_half[:, j] = halves - rest * 10
+        halves = rest
+    significant = np.full(n, 17, u8)
+    tail = np.ones(n, bool)
+    for row in digits[17:1:-1]:
+        tail &= row == 0
+        significant -= tail.view(u8)
+    digits[1:18] += 48
+    digits[0] = digits[18] = 48
+
+    e = e.astype(np.int16)
+    expo = (e < -4) | (e >= 17)
+    small = ~expo & (e < 0)
+    fixed = ~expo & (e >= 0)
+    out = np.empty((_CELL, n), u8)
+    out[0] = np.signbit(x).view(u8) * 45
+    out[1] = small.view(u8) * 48
+    out[2] = small.view(u8) * 46
+    lead = (small * (-1 - e)).astype(u8)
+    out[3:6] = (np.arange(3, dtype=u8)[:, None] < lead).view(u8) * 48
+    # digit k before the point, "." at k == point, digit k - 1 after it
+    width = np.maximum(significant, (fixed * (e + 1)).astype(u8))
+    point = (1 + fixed * e + small * 17).astype(u8)
+    width += point < width
+    k = np.arange(18, dtype=u8)[:, None]
+    mant = out[6:24]
+    np.subtract(digits[1:], digits[:-1], out=mant)
+    mant *= (k < point).view(u8)
+    mant += digits[:-1]
+    mant += (k == point).view(u8) * (46 - mant)
+    mant *= (k < width).view(u8)
+    ae = np.abs(e)
+    ev = expo.view(u8)
+    out[24] = ev * 101
+    out[25] = ev * (43 + 2 * (e < 0).view(u8))
+    out[26] = (expo & (ae >= 100)).view(u8) * (48 + ae // 100)
+    out[27] = ev * (48 + ae // 10 % 10)
+    out[28] = ev * (48 + ae % 10)
+
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        out[:, slow] = _fallback(x[slow]).T
+    return out
+
+
+def _encoded(values: np.ndarray) -> np.ndarray:
+    """The (n, width) bytes of each value's _cells, less the slots none prints."""
+    cells = _cells(values)
+    return cells[cells.any(axis=1)].T
+
+
+def _rows(columns: Sequence[np.ndarray]) -> bytes:
+    """CSV rows from _encoded columns: "," between cells, "\n" after a row."""
+    widths = [c.shape[1] + 1 for c in columns]
+    out = np.empty((len(columns[0]), sum(widths)), np.uint8)
+    end = 0
+    for cells, width in zip(columns, widths):
+        out[:, end:end + width - 1] = cells
+        end += width
+        out[:, end - 1] = 44
+    out[:, -1] = 10
+    return out.tobytes().translate(None, b"\0")
+
+
 def _columns_block(columns: Sequence[np.ndarray], step: int, lo: int) -> bytes:
     """Rows lo to lo + step of the columns, encoded."""
     block = np.column_stack(
         [np.asarray(c[lo:lo + step], dtype=np.float64) for c in columns]
     )
-    # "%.17g" % x and fmt(x) give the same digits for every double
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+    cells = _encoded(block.ravel()).reshape(len(block), len(columns), -1)
+    return _rows([cells[:, j] for j in range(len(columns))])
 
 
 def write_columns_csv(
@@ -75,20 +258,10 @@ def _series_block(times: np.ndarray, values: Sequence[np.ndarray], step: int,
                   lo: int) -> list[bytes]:
     """Rows lo to lo + step of each t,<value> file, encoded.
 
-    The block's t values are formatted once, as "%.17g," row prefixes that
-    every file's rows then reuse.
+    The block's t values are encoded once, for every file's rows.
     """
-    t = np.asarray(times[lo:lo + step], dtype=np.float64).tolist()
-    n = len(t)
-    # "%.17g" prints no line break, so the split gives n prefixes
-    cells: list[Any] = [None] * (2 * n)
-    cells[0::2] = (("%.17g,\n" * n) % tuple(t)).splitlines()
-    row = "%s%.17g\n" * n
-    encoded = []
-    for v in values:
-        cells[1::2] = np.asarray(v[lo:lo + step], dtype=np.float64).tolist()
-        encoded.append((row % tuple(cells)).encode())
-    return encoded
+    t = np.ascontiguousarray(_encoded(times[lo:lo + step]))
+    return [_rows([t, _encoded(v[lo:lo + step])]) for v in values]
 
 
 def write_series_csvs(
@@ -99,7 +272,7 @@ def write_series_csvs(
     """Write one t,<name> file per (path, name, values), all on the same times.
 
     The bytes of each file are those of write_columns_csv(path, ["t", name],
-    [times, values], config); each block's t values are formatted once for
+    [times, values], config); each block's t values are encoded once for
     all the files.
     """
     rows = len(times)

@@ -1,12 +1,16 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctwalk
 from ctwalk import (
     SideChainConfig,
     build_side_chain_graph,
@@ -434,3 +438,16 @@ def test_dead_worker_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: worker process died: ")
     assert "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_stays_light():
+    # a fresh interpreter: the pool's modules load when a pool starts, and the
+    # CSV encoder's power-of-ten table is built on its first use
+    code = ("import sys, ctwalk.cli, ctwalk.io\n"
+            "heavy = ('fractions', 'decimal', 'concurrent.futures', 'multiprocessing')\n"
+            "print([m for m in heavy if m in sys.modules], ctwalk.io._pow10.cache_info().currsize)")
+    src = str(Path(ctwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["[]", "0"]

@@ -165,6 +165,9 @@ def test_compacted_batches_match_reference_loop(case):
     g, start, target, t_cap, seed = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gillespie_mod, "BATCH_SIZE", 97)
+        # in-process: a pool per example costs a fork and a join, and
+        # test_sample_does_not_depend_on_the_worker_count covers the pool
+        mp.setattr(parallel, "usable_cpus", lambda: 1)
         hist = gillespie_first_passage(
             g, start, target, 300, seed=seed, bin_width=0.5, t_cap=t_cap
         )

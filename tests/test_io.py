@@ -1,8 +1,10 @@
 import json
 import multiprocessing
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctwalk import TimeGrid, build_rate_matrix, evolve_master, io, parallel, path_graph
 from ctwalk.io import (
@@ -19,6 +21,110 @@ from ctwalk.io import (
 def test_floats_round_trip_exactly():
     for x in (1 / 3, np.pi, 1e-300, -2.5, 0.1 + 0.2):
         assert float(fmt(x)) == x
+
+
+def _encode(values):
+    """Each value's string from the vectorised encoder."""
+    cells = io._cells(np.asarray(values))
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in cells.T]
+
+
+def _percent(values):
+    return ["%.17g" % float(x) for x in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=50))
+def test_encoder_matches_percent_on_any_bit_pattern(bits):
+    # uniform over the bits: subnormals, +-0, +-inf and nans included
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _encode(values) == _percent(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(width=64), max_size=50),
+       st.lists(st.floats(width=32), max_size=20),
+       st.lists(st.integers(-2**63, 2**63 - 1), max_size=20))
+def test_encoder_matches_percent_on_any_dtype(doubles, singles, ints):
+    for values in (np.array(doubles, dtype=np.float64), np.array(singles, dtype=np.float32),
+                   np.array(ints, dtype=np.int64)):
+        assert _encode(values) == _percent(values), values.dtype
+
+
+def test_encoder_matches_percent_at_powers_of_ten():
+    powers = np.array([10.0**k for k in range(-300, 301)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    assert _encode(values) == _percent(values)
+    assert _encode(-values) == _percent(-values)
+
+
+def test_encoder_switches_notation_where_percent_does():
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+    values = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    assert _encode(values) == _percent(values)
+    assert _encode([1e-4, 1e-5, 1e16, 1e17]) == [
+        "0.0001", "1.0000000000000001e-05", "10000000000000000", "1e+17"]
+
+
+def test_encoder_corrects_the_exponent_below_a_power_of_ten():
+    # log10 rounds these up to the next power's exponent
+    values = [1e23, 1e-280, 1e-14]
+    assert list(np.floor(np.log10(values))) == [23, -280, -14]
+    assert _encode(values) == ["9.9999999999999992e+22", "9.9999999999999996e-281", "1e-14"]
+
+
+def test_rounding_carries_into_the_next_decade():
+    # 1e17 - 0.25 rounds to 1e17: the digits become 1e16 and the exponent rises
+    s = np.array([1e17, 1e17 - 16, 1e16, 1e16])
+    s_lo = np.array([-0.25, 8.0, 0.75, 0.5])
+    d, carry, certain = io._round17(s, s_lo)
+    assert d.tolist() == [10**16, 10**17 - 8, 10**16 + 1, 10**16]
+    assert carry.tolist() == [True, False, False, False]
+    assert certain.tolist() == [True, True, True, False]
+
+
+@pytest.fixture
+def fallback_values(monkeypatch):
+    """Every value the encoder hands to its "%" fallback, in order."""
+    seen = []
+    fallback = io._fallback
+
+    def counting(values):
+        seen.extend(values.tolist())
+        return fallback(values)
+
+    monkeypatch.setattr(io, "_fallback", counting)
+    return seen
+
+
+def test_exact_ties_go_to_the_fallback(fallback_values):
+    # n / 4 with n odd in [4e15, 9e15) has 18 significant digits, the last a 5
+    ties = np.array([1000000000000000.25, 1000000000000000.75, -2000000000000001.25])
+    assert _encode(ties) == _percent(ties) == [
+        "1000000000000000.2", "1000000000000000.8", "-2000000000000001.2"]
+    assert fallback_values == ties.tolist()
+
+
+def _distance_from_half(x):
+    """|frac(S) - 1/2| for S = |x| * 10**(16 - e), in exact rational arithmetic."""
+    num, den = abs(x).as_integer_ratio()
+    k = 16 - int(("%.16e" % x).split("e")[1])
+    num, den = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
+    return abs(Fraction(num % den, den) - Fraction(1, 2))
+
+
+def test_random_values_reach_the_fallback_only_as_zeros_or_near_ties(fallback_values):
+    rng = np.random.default_rng(14)
+    values = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    values = values[(np.abs(values) >= 1e-280) & (np.abs(values) < 1e281)]
+    values[::1000] = 0.0
+    assert _encode(values) == _percent(values)
+    # apart from the zeros, only values whose rounding is a tie or within
+    # the margin of one reach the fallback: exact ties are common among
+    # doubles between 1e14 and 1e17, whose scaled values have few fraction bits
+    zeros = [x for x in fallback_values if x == 0]
+    assert len(zeros) == len(values[::1000])
+    assert all(_distance_from_half(x) < Fraction(1, 10**6) for x in fallback_values if x != 0)
 
 
 def test_config_line_is_sorted_and_prefixed():
