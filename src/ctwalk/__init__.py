@@ -51,7 +51,6 @@ from .experiments import (
 )
 from .first_passage import (
     FirstPassageResult,
-    cumulative_mass,
     deconvolve,
     detect_tau0,
     extract_first_passage,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import classical, experiments, io, quantum
@@ -161,11 +161,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif args.full_series:
         series = classical.evolve_master(model, start, grid)
         io.write_probability_series_csv(args.out_dir / "occupations.csv", series, config)
-    io.write_series_csvs(
-        grid.times,
-        [(args.out_dir / f"P{start}{target}.csv", "P", result.p_ab),
-         (args.out_dir / f"P{target}{target}.csv", "P", result.p_bb),
-         (args.out_dir / "F.csv", "F", result.F)],
+    t = grid.times
+    io.write_csvs(
+        [(args.out_dir / f"P{start}{target}.csv", ["t", "P"], [t, result.p_ab]),
+         (args.out_dir / f"P{target}{target}.csv", ["t", "P"], [t, result.p_bb]),
+         (args.out_dir / "F.csv", ["t", "F"], [t, result.F])],
         config,
     )
     payload = {
@@ -219,13 +219,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     full_triple = {0, 1, 2}.issubset(set(s_values))
     if full_triple:
         header += ["d1", "d2", "d2_prime", "d1_over_tau", "d2_over_tau"]
+        deltas = experiments.delta_table(records)
     lines = [io.config_line(config), ",".join(header)]
     for n, group in by_n.items():
         row = [str(n)] + [io.fmt(group[s].tau) for s in s_values]
         if full_triple:
-            d = experiments.side_chain_deltas(group)
-            row += [io.fmt(d.d1), io.fmt(d.d2), io.fmt(d.d2_prime),
-                    io.fmt(d.d1_ratio), io.fmt(d.d2_ratio)]
+            row += [io.fmt(x) for x in astuple(deltas[n])]  # d1, d2, d2_prime, ratios
         lines.append(",".join(row))
     (args.out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 

@@ -24,7 +24,6 @@ from .errors import NoZeroCrossingError, NumericsError, ValidationError
 from .first_passage import (
     MAX_SOLVE_POINTS,
     FirstPassageResult,
-    cumulative_mass,
     deconvolve,
     detect_tau0,
     first_passage_result,
@@ -94,6 +93,29 @@ def walk_model(g: Graph, walk: str) -> Spectrum | classical.RateMatrix:
     raise ValidationError(f"walk must be 'classical' or 'quantum', got {walk!r}")
 
 
+def _classical_tau0(F: np.ndarray, grid: TimeGrid, eps: float, t_eps: float) -> float:
+    """First grid time where the trapezoid survival mass 1 - int_0^t F is below eps.
+
+    The quadrature mass of the discrete F saturates ~1e-6 short of one at
+    dt = 0.01, so its own epsilon crossing can sit far beyond the true one;
+    when the grid ends above eps, the model's t_eps stands in.
+    """
+    mass = np.concatenate([[0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * grid.dt)])
+    if 1.0 - mass[-1] < eps:
+        return float(grid.times[np.nonzero(1.0 - mass < eps)[0][0]])
+    return t_eps
+
+
+def _gated(result: FirstPassageResult, residual_max: float) -> tuple[FirstPassageResult, TimeGrid]:
+    """result and its grid, or NumericsError if its round-trip residual exceeds residual_max."""
+    if not result.reconstruction_error <= residual_max:  # also catches nan
+        raise NumericsError(
+            f"residual {result.reconstruction_error:.3g} > {residual_max:g} "
+            f"at {result.grid.n} points"
+        )
+    return result, result.grid
+
+
 def run_pipeline(
     model: Spectrum | classical.RateMatrix, target: int, dt: float, eps: float,
     start: int = 1,
@@ -107,13 +129,13 @@ def run_pipeline(
     P_ab(t) deg(a) = P_ba(t) deg(b). The result carries both series.
 
     The classical F is the closed-form solve over the series' shared
-    rates, with F(0) the exact hop rate; the quantum F is deconvolved with
-    F(0) = 0, on grids with dt (lambda_max - lambda_min) < pi so that P(t)
-    is not aliased and of at most MAX_SOLVE_POINTS points.
-    Classical horizons come from the killed-walk survival function (the
-    F-mass crossing is used when it happens on the grid); quantum horizons
-    start near the ballistic crossing time and double until the zero of F
-    is on the grid.
+    rates, with F(0) the exact hop rate, on one grid sized from the
+    killed-walk survival function; its horizon is the F-mass crossing when
+    that happens on the grid, else the survival horizon. The quantum F is
+    deconvolved with F(0) = 0, on grids with dt (lambda_max - lambda_min)
+    < pi so that P(t) is not aliased and of at most MAX_SOLVE_POINTS
+    points; they start near the ballistic crossing time and double until
+    the zero of F is on the grid.
 
     Raises NumericsError when the round-trip residual exceeds
     QUANTUM_RESIDUAL_MAX or CLASSICAL_RESIDUAL_MAX, and ValidationError
@@ -126,74 +148,42 @@ def run_pipeline(
         coefs = rm.spectrum.modes(target, (start, target))
         balance = rm.degrees[target - 1] / rm.degrees[start - 1]
         coefs[0] *= balance
-        # epsilon horizon from the exact killed-walk survival; the quadrature
-        # mass of the discrete F saturates ~1e-6 short of one at dt = 0.01,
-        # so its own epsilon crossing can sit far beyond the true one
         t_eps = classical.survival_horizon(rm, target, eps=eps, start=start)
+        grid = TimeGrid.from_span(t_eps * 1.05 + 4.0, dt)
+        p_ab, p_bb = classical.vertex_occupations(rm, target, (start, target), grid)
+        p_ab *= balance
         # F(0) is the hop rate start -> target, exactly 0 unless they are adjacent
         f0 = float(rm.matrix[target - 1, start - 1])
-        spans = [t_eps * 1.05 + 4.0]
-        residual_max = CLASSICAL_RESIDUAL_MAX
+        F = solve_exp_sum(rm.spectrum.rates, coefs, grid, f0)
+        tau0 = _classical_tau0(F, grid, eps, t_eps)
+        return _gated(first_passage_result(p_ab, p_bb, F, grid, tau0), CLASSICAL_RESIDUAL_MAX)
 
-        def series(grid: TimeGrid) -> np.ndarray:
-            p = classical.vertex_occupations(rm, target, (start, target), grid)
-            p[0] *= balance
-            return p
-
-        def solve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
-            return solve_exp_sum(rm.spectrum.rates, coefs, grid, f0)
-
-        def horizon(F: np.ndarray, grid: TimeGrid) -> float:
-            if 1.0 - cumulative_mass(F, grid)[-1] < eps:
-                return detect_tau0(F, grid, mode="classical", eps=eps)
-            return t_eps
-
-    else:
-        # P(t) oscillates at the eigenvalue gaps of H; a grid that cannot
-        # resolve the widest one solves an aliased series
-        bandwidth = float(np.ptp(model.rates.imag))
-        if dt * bandwidth >= math.pi:
-            raise ValidationError(
-                f"dt = {dt} aliases the fastest oscillation of P(t) (frequency "
-                f"{bandwidth:.6g}); dt must be below {math.pi / bandwidth:.6g}"
-            )
-        t_first = max(12.0, 0.7 * target + 6.0)
-        spans = [t_first * 2.0**k for k in range(MAX_HORIZON_DOUBLINGS)]
-        residual_max = QUANTUM_RESIDUAL_MAX
-
-        def series(grid: TimeGrid) -> np.ndarray:
-            if grid.n > MAX_SOLVE_POINTS:
-                raise ValidationError(
-                    f"the quantum solve on {grid.n} grid points exceeds the budget "
-                    f"of {MAX_SOLVE_POINTS}; raise dt"
-                )
-            return quantum.transition_probabilities(model, target, (start, target), grid)
-
-        def solve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
-            # d/dt |psi_a|^2 = 2 Re(conj(psi_a) psi_a') is 0 where psi_a(0) = 0
-            return deconvolve(p_ab, p_bb, grid, 0.0)
-
-        def horizon(F: np.ndarray, grid: TimeGrid) -> float:
-            return detect_tau0(F, grid, mode="quantum", eps=eps)
-
-    for span in spans:
+    # P(t) oscillates at the eigenvalue gaps of H; a grid that cannot
+    # resolve the widest one solves an aliased series
+    bandwidth = float(np.ptp(model.rates.imag))
+    if dt * bandwidth >= math.pi:
+        raise ValidationError(
+            f"dt = {dt} aliases the fastest oscillation of P(t) (frequency "
+            f"{bandwidth:.6g}); dt must be below {math.pi / bandwidth:.6g}"
+        )
+    span = max(12.0, 0.7 * target + 6.0)
+    for _ in range(MAX_HORIZON_DOUBLINGS):
         grid = TimeGrid.from_span(span, dt)
-        p_ab, p_bb = series(grid)
-        F = solve(p_ab, p_bb, grid)
-        try:
-            tau0 = horizon(F, grid)
-        except NoZeroCrossingError:
-            continue
-        result = first_passage_result(p_ab, p_bb, F, grid, tau0)
-        if not result.reconstruction_error <= residual_max:  # also catches nan
-            raise NumericsError(
-                f"residual {result.reconstruction_error:.3g} > {residual_max:g} "
-                f"at {grid.n} points"
+        if grid.n > MAX_SOLVE_POINTS:
+            raise ValidationError(
+                f"the quantum solve on {grid.n} grid points exceeds the budget "
+                f"of {MAX_SOLVE_POINTS}; raise dt"
             )
-        return result, grid
-    raise NoZeroCrossingError(
-        f"no zero of F within {2.0 * spans[-1]} time units; giving up"
-    )
+        p_ab, p_bb = quantum.transition_probabilities(model, target, (start, target), grid)
+        # d/dt |psi_a|^2 = 2 Re(conj(psi_a) psi_a') is 0 where psi_a(0) = 0
+        F = deconvolve(p_ab, p_bb, grid, 0.0)
+        try:
+            tau0 = detect_tau0(F, grid)
+        except NoZeroCrossingError:
+            span *= 2.0
+            continue
+        return _gated(first_passage_result(p_ab, p_bb, F, grid, tau0), QUANTUM_RESIDUAL_MAX)
+    raise NoZeroCrossingError(f"no zero of F within {span} time units; giving up")
 
 
 def run_case(

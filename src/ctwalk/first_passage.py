@@ -25,14 +25,14 @@ passes 0, since d/dt |psi_a|^2 = 2 Re(conj(psi_a) psi_a') vanishes with
 psi_a(0) = 0.
 
 The mean first-passage time is the normalized first moment of F on
-[0, tau0], where tau0 is infinity (in practice an epsilon cutoff of the
-survival mass) for the classical walk and the first zero of F after its
-first peak for the quantum walk.
+[0, tau0]. For the quantum walk tau0 is the first zero of F after its first
+peak, found by detect_tau0. For the classical walk it is infinity, in
+practice an epsilon cutoff of the survival mass, which
+experiments.run_pipeline takes from the model.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -204,67 +204,37 @@ def reconstruct(F: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def detect_tau0(
-    F: np.ndarray,
-    grid: TimeGrid,
-    mode: str,
-    eps: float = 1e-6,
-) -> float:
-    """Integration horizon for the mean first-passage time.
+def detect_tau0(F: np.ndarray, grid: TimeGrid) -> float:
+    """Quantum integration horizon: the first zero of F after its first peak.
 
-    Quantum mode: the first time F crosses zero after its first genuine
-    peak (local maxima below PEAK_FRACTION of the global maximum are
-    treated as noise), located by linear interpolation between the
+    Local maxima below PEAK_FRACTION of the global maximum are treated as
+    noise; the crossing is located by linear interpolation between the
     bracketing grid points. Raises NoZeroCrossingError when F stays
     positive; callers should extend the grid.
-
-    Classical mode: the first time the survival mass 1 - int_0^t F drops
-    below eps, the practical stand-in for an infinite horizon. If the grid
-    ends first, the grid end is returned with a truncation warning.
     """
     F = np.asarray(F, dtype=float)
     if len(F) != grid.n:
         raise GridMismatchError(f"series length {len(F)} != grid length {grid.n}")
-    t = grid.times
-    if mode == "quantum":
-        fmax = float(F.max())
-        if fmax <= 0.0:
-            raise NoZeroCrossingError("F has no positive values; no peak to anchor on")
-        thresh = PEAK_FRACTION * fmax
-        interior = np.nonzero(
-            (F[1:-1] >= thresh) & (F[1:-1] >= F[:-2]) & (F[1:-1] > F[2:])
-        )[0]
-        if len(interior) == 0:
-            raise NoZeroCrossingError("no peak found on the grid; extend the horizon")
-        i_peak = int(interior[0]) + 1
-        after = np.nonzero(F[i_peak + 1:] <= 0.0)[0]
-        if len(after) == 0:
-            raise NoZeroCrossingError(
-                "F never crosses zero after its first peak; extend the grid"
-            )
-        j = i_peak + 1 + int(after[0])
-        f_lo, f_hi = F[j - 1], F[j]
-        if f_lo == f_hi:
-            return float(t[j])
-        return float(t[j - 1] + grid.dt * f_lo / (f_lo - f_hi))
-    if mode == "classical":
-        mass = cumulative_mass(F, grid)
-        below = np.nonzero(1.0 - mass < eps)[0]
-        if len(below) == 0:
-            warnings.warn(
-                f"survival mass still above eps={eps} at the grid end; "
-                "horizon truncated",
-                stacklevel=2,
-            )
-            return float(t[-1])
-        return float(t[below[0]])
-    raise ValidationError(f"mode must be 'quantum' or 'classical', got {mode!r}")
-
-
-def cumulative_mass(F: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Trapezoid cumulative integral of F from zero, on every grid point."""
-    inc = 0.5 * (F[1:] + F[:-1]) * grid.dt
-    return np.concatenate([[0.0], np.cumsum(inc)])
+    fmax = float(F.max())
+    if fmax <= 0.0:
+        raise NoZeroCrossingError("F has no positive values; no peak to anchor on")
+    thresh = PEAK_FRACTION * fmax
+    interior = np.nonzero(
+        (F[1:-1] >= thresh) & (F[1:-1] >= F[:-2]) & (F[1:-1] > F[2:])
+    )[0]
+    if len(interior) == 0:
+        raise NoZeroCrossingError("no peak found on the grid; extend the horizon")
+    i_peak = int(interior[0]) + 1
+    after = np.nonzero(F[i_peak + 1:] <= 0.0)[0]
+    if len(after) == 0:
+        raise NoZeroCrossingError(
+            "F never crosses zero after its first peak; extend the grid"
+        )
+    j = i_peak + 1 + int(after[0])
+    f_lo, f_hi = F[j - 1], F[j]
+    if f_lo == f_hi:
+        return float(grid.times[j])
+    return float(grid.times[j - 1] + grid.dt * f_lo / (f_lo - f_hi))
 
 
 def mean_fpt(F: np.ndarray, grid: TimeGrid, tau0: float) -> FirstPassageResult:
@@ -294,14 +264,8 @@ def first_passage_result(
 
 
 def extract_first_passage(
-    p_ab: np.ndarray,
-    p_bb: np.ndarray,
-    grid: TimeGrid,
-    f0: float,
-    mode: str,
-    eps: float = 1e-6,
+    p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid, f0: float
 ) -> FirstPassageResult:
-    """Full deconvolve -> tau0 -> mean pipeline with a round-trip residual."""
+    """Quantum deconvolve -> tau0 -> mean pipeline with a round-trip residual."""
     F = deconvolve(p_ab, p_bb, grid, f0)
-    tau0 = detect_tau0(F, grid, mode=mode, eps=eps)
-    return first_passage_result(p_ab, p_bb, F, grid, tau0)
+    return first_passage_result(p_ab, p_bb, F, grid, detect_tau0(F, grid))

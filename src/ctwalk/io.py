@@ -12,11 +12,11 @@ exact value, rounds that half to even to 17 digits and lays out %g's fixed
 or exponent notation with numpy byte operations. Zeros, infinities, nans,
 values outside that range and values whose scaled fraction lies within
 1e-6 of a half, where the rounding is not certain, are formatted by "%"
-itself. Files that share a time column, such as simulate's P_ab, P_bb and
-F series, are written together by write_series_csvs, which encodes each
-block of times once for all of them. The blocks are encoded by
-parallel.ordered_map, on every CPU in the affinity mask, and written in
-order, so the bytes do not depend on the worker count. On a 2-vCPU host
+itself. write_csvs, the one block writer, writes one or more files
+together, and encodes a column array that several of them share, such as
+the time column of simulate's P_ab, P_bb and F series, once per block. The
+blocks are encoded by parallel.ordered_map, on every CPU in the affinity
+mask, and written in order, so the bytes do not depend on the worker count. On a 2-vCPU host
 simulate --walk classical --N 43 --S 2 writes its three files (249 MB) in
 about 1.2 s, and in 1.9 s on one CPU.
 """
@@ -38,6 +38,12 @@ from .quantum import AmplitudeSeries
 # Cells per encoding block: bounds the transient arrays and bytes of a
 # block whatever the column count.
 BLOCK_CELLS = 1 << 17
+# Values per call of the encoder. On a 2-vCPU x86-64 host, against calls of
+# 2**16 values, calls of 2**18 (four 65,536-row columns at once) took 1.4
+# times as long per value, their temporaries leaving the cache, and calls of
+# 2,849 (one column of a 46-column block) 1.3 times, numpy's per-call cost
+# adding up
+ENCODE_CELLS = 1 << 16
 
 
 def fmt(x: float) -> str:
@@ -225,13 +231,49 @@ def _rows(columns: Sequence[np.ndarray]) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _columns_block(columns: Sequence[np.ndarray], step: int, lo: int) -> bytes:
-    """Rows lo to lo + step of the columns, encoded."""
-    block = np.column_stack(
-        [np.asarray(c[lo:lo + step], dtype=np.float64) for c in columns]
-    )
-    cells = _encoded(block.ravel()).reshape(len(block), len(columns), -1)
-    return _rows([cells[:, j] for j in range(len(columns))])
+def _block(columns: Sequence[np.ndarray], layout: Sequence[Sequence[int]], step: int,
+           lo: int) -> list[bytes]:
+    """Rows lo to lo + step of each file, encoded.
+
+    Each distinct column is encoded once, in calls of about ENCODE_CELLS
+    values; layout[i] lists the indices into columns of file i's columns.
+    """
+    per_call = max(1, ENCODE_CELLS // step)
+    cells: list[np.ndarray] = []
+    for first in range(0, len(columns), per_call):
+        group = columns[first:first + per_call]
+        block = np.concatenate([np.asarray(c[lo:lo + step], dtype=np.float64) for c in group])
+        cells += np.split(_encoded(block), len(group))
+    return [_rows([cells[j] for j in file]) for file in layout]
+
+
+def write_csvs(
+    files: Sequence[tuple[str | Path, Sequence[str], Sequence[np.ndarray]]],
+    config: Mapping[str, Any],
+) -> None:
+    """Write one CSV per (path, header, columns): equal-length columns under the header names.
+
+    A column array named in several files, the same object, is encoded once
+    per block for all of them. Every column of every file must have the
+    same length; nothing is written otherwise.
+    """
+    lengths = {len(c) for _, _, cols in files for c in cols}
+    if len(lengths) != 1:
+        raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
+    columns = list({id(c): c for _, _, cols in files for c in cols}.values())
+    index = {id(c): j for j, c in enumerate(columns)}
+    layout = [[index[id(c)] for c in cols] for _, _, cols in files]
+    step = max(1, BLOCK_CELLS // max(len(cols) for _, _, cols in files))
+    blocks = range(0, lengths.pop(), step)
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb")) for path, _, _ in files]
+        for fh, (_, header, _) in zip(handles, files):
+            fh.write(f"{config_line(config)}\n{','.join(header)}\n".encode())
+        encoded = stack.enter_context(
+            closing(ordered_map(partial(_block, columns, layout, step), blocks)))
+        for chunks in encoded:
+            for fh, chunk in zip(handles, chunks):
+                fh.write(chunk)
 
 
 def write_columns_csv(
@@ -241,54 +283,7 @@ def write_columns_csv(
     config: Mapping[str, Any],
 ) -> None:
     """Write equal-length columns under the given header names."""
-    lengths = {len(c) for c in columns}
-    if len(lengths) != 1:
-        raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
-    step = max(1, BLOCK_CELLS // len(columns))
-    blocks = range(0, len(columns[0]), step)
-    with open(path, "wb") as fh, closing(
-        ordered_map(partial(_columns_block, columns, step), blocks)
-    ) as encoded:
-        fh.write(f"{config_line(config)}\n{','.join(header)}\n".encode())
-        for chunk in encoded:
-            fh.write(chunk)
-
-
-def _series_block(times: np.ndarray, values: Sequence[np.ndarray], step: int,
-                  lo: int) -> list[bytes]:
-    """Rows lo to lo + step of each t,<value> file, encoded.
-
-    The block's t values are encoded once, for every file's rows.
-    """
-    t = np.ascontiguousarray(_encoded(times[lo:lo + step]))
-    return [_rows([t, _encoded(v[lo:lo + step])]) for v in values]
-
-
-def write_series_csvs(
-    times: np.ndarray,
-    files: Sequence[tuple[str | Path, str, np.ndarray]],
-    config: Mapping[str, Any],
-) -> None:
-    """Write one t,<name> file per (path, name, values), all on the same times.
-
-    The bytes of each file are those of write_columns_csv(path, ["t", name],
-    [times, values], config); each block's t values are encoded once for
-    all the files.
-    """
-    rows = len(times)
-    for path, _, values in files:
-        if len(values) != rows:
-            raise ValueError(f"{path}: {len(values)} values for {rows} times")
-    step = max(1, BLOCK_CELLS // 2)
-    format_block = partial(_series_block, times, [values for _, _, values in files], step)
-    with ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "wb")) for path, _, _ in files]
-        for fh, (_, name, _) in zip(handles, files):
-            fh.write(f"{config_line(config)}\nt,{name}\n".encode())
-        encoded = stack.enter_context(closing(ordered_map(format_block, range(0, rows, step))))
-        for chunks in encoded:
-            for fh, chunk in zip(handles, chunks):
-                fh.write(chunk)
+    write_csvs([(path, header, columns)], config)
 
 
 def write_probability_series_csv(

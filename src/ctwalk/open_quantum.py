@@ -76,10 +76,9 @@ class AncillaryFirstPassage:
     """F estimate from the decay of the complement probability sigma.
 
     normalization is the quadrature-consistent integral of the raw flux
-    over [0, tau0]; sigma_drop = sigma(0) - sigma(tau0) is the same number
-    up to discretization and is recorded for comparison. recurrence_time
-    marks when sigma regains one percent of its total decay, the signature
-    of probability returning from the absorber.
+    over [0, tau0]. recurrence_time marks when sigma regains one percent of
+    its total decay, the signature of probability returning from the
+    absorber.
     """
 
     grid: TimeGrid
@@ -87,7 +86,6 @@ class AncillaryFirstPassage:
     F: np.ndarray
     tau0: float
     normalization: float
-    sigma_drop: float
     sigma_vertices: tuple[int, ...]
     recurrence_time: float | None = None
 
@@ -220,7 +218,7 @@ def complement_flux(
     raw[1:-1] = -(sigma[2:] - sigma[:-2]) / (2.0 * dt)
     raw[0] = -(sigma[1] - sigma[0]) / dt
     raw[-1] = -(sigma[-1] - sigma[-2]) / dt
-    tau0 = detect_tau0(raw, grid, mode="quantum")
+    tau0 = detect_tau0(raw, grid)
     tt, ff = grid.up_to(raw, tau0)
     a = float(np.trapezoid(ff, tt))
     if abs(a) < 1e-9:
@@ -228,7 +226,6 @@ def complement_flux(
             f"sigma decayed by {a}; no first-passage signal"
         )
     t = grid.times
-    drop = float(sigma[0] - np.interp(tau0, t, sigma))
     rebound = sigma - np.minimum.accumulate(sigma)
     rec_idx = np.nonzero(rebound > 0.01 * (sigma[0] - sigma.min()))[0]
     recurrence = float(t[rec_idx[0]]) if len(rec_idx) else None
@@ -249,7 +246,6 @@ def complement_flux(
         F=raw / a,
         tau0=tau0,
         normalization=a,
-        sigma_drop=drop,
         sigma_vertices=sigma_vertices,
         recurrence_time=recurrence,
     )

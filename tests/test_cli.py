@@ -424,14 +424,14 @@ def test_dead_worker_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(io, "BLOCK_CELLS", 1 << 10)
     parent = os.getpid()
-    series_block = io._series_block
+    block = io._block
 
     def dies_in_worker(*args):
         if os.getpid() != parent:
             os._exit(3)
-        return series_block(*args)
+        return block(*args)
 
-    monkeypatch.setattr(io, "_series_block", dies_in_worker)
+    monkeypatch.setattr(io, "_block", dies_in_worker)
     code = run(["simulate", "--walk", "classical", "--N", 9, "--out-dir", tmp_path])
     err = capsys.readouterr().err
     assert code == 1

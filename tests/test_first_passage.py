@@ -12,7 +12,6 @@ from ctwalk import (
     ZeroNormError,
     build_rate_matrix,
     build_side_chain_graph,
-    cumulative_mass,
     deconvolve,
     detect_tau0,
     mean_fpt,
@@ -152,30 +151,42 @@ def test_classical_round_trip_nine_path():
 def test_quantum_two_path_horizon():
     p12, p22, grid = quantum_pair(2, 5.0)
     f = deconvolve(p12, p22, grid, 0.0)
-    tau0 = detect_tau0(f, grid, mode="quantum")
+    tau0 = detect_tau0(f, grid)
     assert tau0 == pytest.approx(np.pi / np.sqrt(2.0), abs=1e-3)
 
 
 def test_classical_two_path_horizon_is_log_eps():
-    p12, p22, grid = classical_pair(2, 16.0)
-    f = deconvolve(p12, p22, grid, 1.0)
-    tau0 = detect_tau0(f, grid, mode="classical", eps=1e-6)
-    assert tau0 == pytest.approx(-np.log(1e-6), abs=0.02)
+    result, _ = experiments.run_pipeline(build_rate_matrix(path_graph(2)), 2, DT, 1e-6)
+    assert result.tau0 == pytest.approx(-np.log(1e-6), abs=0.02)
+
+
+def test_classical_horizon_is_the_mass_crossing_on_the_grid():
+    rm = build_rate_matrix(build_side_chain_graph(SideChainConfig(N=9, S=2, offset=0)))
+    result, grid = experiments.run_pipeline(rm, 9, DT, 1e-6)
+    f = result.F
+    mass = DT * (np.cumsum(f) - 0.5 * (f[0] + f))  # trapezoid, summed independently
+    crossed = np.nonzero(1.0 - mass < 1e-6)[0]
+    assert len(crossed) > 0
+    assert result.tau0 == grid.times[crossed[0]]
+    assert result.tau0 < grid.t_end
+
+
+def test_classical_horizon_falls_back_to_the_survival_horizon(monkeypatch):
+    """A grid that ends before the F mass reaches 1 - eps takes t_eps itself."""
+    monkeypatch.setattr(experiments.classical, "survival_horizon", lambda *a, **k: 5.0)
+    rm = build_rate_matrix(build_side_chain_graph(SideChainConfig(N=9, S=2, offset=0)))
+    result, grid = experiments.run_pipeline(rm, 9, DT, 1e-6)
+    assert grid.t_end == pytest.approx(5.0 * 1.05 + 4.0, abs=DT)
+    f = result.F
+    assert 1.0 - DT * (np.sum(f) - 0.5 * (f[0] + f[-1])) > 1e-6
+    assert result.tau0 == 5.0
 
 
 def test_quantum_no_zero_crossing_raises():
     grid = TimeGrid.from_span(5.0, DT)
     f = np.exp(-grid.times)  # positive everywhere
     with pytest.raises(NoZeroCrossingError):
-        detect_tau0(f, grid, mode="quantum")
-
-
-def test_classical_truncation_warns():
-    grid = TimeGrid.from_span(3.0, DT)
-    f = np.exp(-grid.times)
-    with pytest.warns(UserWarning, match="truncated"):
-        tau0 = detect_tau0(f, grid, mode="classical", eps=1e-6)
-    assert tau0 == grid.t_end
+        detect_tau0(f, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +196,14 @@ def test_classical_truncation_warns():
 def test_classical_two_path_mean_is_one():
     p12, p22, grid = classical_pair(2, 16.0)
     f = deconvolve(p12, p22, grid, 1.0)
-    tau0 = detect_tau0(f, grid, mode="classical")
-    result = mean_fpt(f, grid, tau0)
+    result = mean_fpt(f, grid, -np.log(1e-6))  # F = exp(-t) has mass 1 - 1e-6 there
     assert result.tau == pytest.approx(1.0, abs=1e-4)
 
 
 def test_quantum_two_path_mean():
     p12, p22, grid = quantum_pair(2, 5.0)
     f = deconvolve(p12, p22, grid, 0.0)
-    tau0 = detect_tau0(f, grid, mode="quantum")
+    tau0 = detect_tau0(f, grid)
     result = mean_fpt(f, grid, tau0)
     # integrals of t sqrt(2) sin(sqrt(2) t) over [0, pi/sqrt(2)] give pi sqrt(2)/4
     assert result.tau == pytest.approx(np.pi * np.sqrt(2.0) / 4.0, abs=1e-4)
@@ -227,7 +237,7 @@ def test_classical_density_nonnegative_and_mass_monotone():
         p_ab, p_bb, grid = classical_pair(n, t_end)
         f = deconvolve(p_ab, p_bb, grid, 0.0)
         assert f.min() > -1e-9
-        mass = cumulative_mass(f, grid)
+        mass = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * grid.dt)])
         assert np.diff(mass).min() > -1e-9
         assert mass.max() < 1.0 + 1e-6
 

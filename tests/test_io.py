@@ -13,8 +13,8 @@ from ctwalk.io import (
     write_columns_csv,
     write_json,
     write_jsonl,
+    write_csvs,
     write_probability_series_csv,
-    write_series_csvs,
 )
 
 
@@ -198,17 +198,19 @@ def test_series_csvs_match_columns_writer(tmp_path, monkeypatch, rows):
     bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64)
     cplx = rng.normal(size=rows) + 1j * rng.normal(size=rows)
     files = [
-        (tmp_path / "special.csv", "P", np.resize(special, rows)),
-        (tmp_path / "bits.csv", "P", bits),
-        (tmp_path / "F.csv", "F", cplx.imag),  # strided view
+        (tmp_path / "special.csv", ["t", "P"], [times, np.resize(special, rows)]),
+        (tmp_path / "bits.csv", ["t", "P"], [times, bits]),
+        (tmp_path / "F.csv", ["t", "F"], [times, cplx.imag]),  # strided view
+        # the widest file sets the block length for all of them
+        (tmp_path / "wide.csv", ["t", "P", "F"], [times, bits, cplx.imag]),
     ]
     config = {"N": 9, "walk": "classical"}
-    write_series_csvs(times, files, config)
-    for path, name, values in files:
-        expected = _per_cell_reference(["t", name], [times, values], config)
+    write_csvs(files, config)
+    for path, header, columns in files:
+        expected = _per_cell_reference(header, columns, config)
         assert path.read_text() == expected, path.name
         ref = tmp_path / "ref.csv"
-        write_columns_csv(ref, ["t", name], [times, values], config)
+        write_columns_csv(ref, header, columns, config)
         assert path.read_bytes() == ref.read_bytes(), path.name
 
 
@@ -228,8 +230,8 @@ def test_writers_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, rows):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         out.mkdir()
-        write_series_csvs(times, [(out / f"{name}.csv", name, values)
-                                  for name, values in series.items()], config)
+        write_csvs([(out / f"{name}.csv", ["t", name], [times, values])
+                    for name, values in series.items()], config)
         for name, values in series.items():
             write_columns_csv(out / f"{name}_columns.csv", ["t", name], [times, values], config)
             assert (out / f"{name}.csv").read_bytes() == expected[name], (cpus, name)
@@ -238,9 +240,11 @@ def test_writers_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, rows):
 
 
 def test_series_csvs_reject_ragged_before_writing(tmp_path):
-    files = [(tmp_path / "a.csv", "P", np.zeros(3)), (tmp_path / "b.csv", "F", np.zeros(2))]
-    with pytest.raises(ValueError, match="2 values for 3 times"):
-        write_series_csvs(np.arange(3.0), files, {})
+    t = np.arange(3.0)
+    files = [(tmp_path / "a.csv", ["t", "P"], [t, np.zeros(3)]),
+             (tmp_path / "b.csv", ["t", "F"], [t, np.zeros(2)])]
+    with pytest.raises(ValueError, match=r"unequal lengths \[2, 3\]"):
+        write_csvs(files, {})
     assert list(tmp_path.iterdir()) == []
 
 

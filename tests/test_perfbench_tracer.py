@@ -1,0 +1,60 @@
+"""The benchmark's tracer still installs over every name it traces.
+
+perfbench/tracing.py looks up each name in its TRACED table on the ctwalk
+modules; a renamed or deleted function breaks every traced benchmark run.
+The tracer is loaded from its file, since perfbench is not a package.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy
+import pytest
+
+import ctwalk.experiments as experiments
+from ctwalk.graphs import SideChainConfig, build_side_chain_graph
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while it loads
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(tracing):
+    return {
+        (layer, name): getattr(importlib.import_module(f"ctwalk.{layer}"), name)
+        for layer, names in tracing.TRACED.items()
+        for name in names
+    }
+
+
+@pytest.mark.parametrize("walk,spans", [
+    ("classical", ["classical.survival_horizon", "classical.vertex_occupations",
+                   "first_passage.reconstruct", "first_passage.mean_fpt"]),
+    ("quantum", ["quantum.transition_probabilities", "first_passage.deconvolve",
+                 "first_passage.detect_tau0", "first_passage.reconstruct",
+                 "first_passage.mean_fpt"]),
+])
+def test_tracer_installs_over_every_traced_name(tracing, walk, spans):
+    original = _bindings(tracing)
+    model = experiments.walk_model(build_side_chain_graph(SideChainConfig(N=5)), walk)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        experiments.run_pipeline(model, 5, 0.01, 1e-6)
+    names = [s.name for s in tracer.spans]
+    assert names[0] == "experiments.run_pipeline"
+    assert all(s.parent is not None for s in tracer.spans[1:])
+    for name in spans:
+        assert name in names
+    assert ("first_passage.deconvolve" in names) == (walk == "quantum")
+    assert _bindings(tracing) == original
+    assert experiments.np is numpy
