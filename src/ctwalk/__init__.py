@@ -8,7 +8,6 @@ command line (``cli``) drives every experiment.
 """
 
 from .classical import (
-    ProbabilitySeries,
     RateMatrix,
     build_rate_matrix,
     evolve_master,
@@ -36,14 +35,12 @@ from .errors import (
 )
 from .experiments import (
     Deltas,
-    EntropyStudy,
     PowerLawFit,
     SweepRecord,
     cached_run_case,
     delta_table,
     entropy_study,
     fit_power_law,
-    offset_study,
     run_case,
     side_chain_deltas,
     speedup_fit,
@@ -75,7 +72,7 @@ from .graphs import (
     path_graph,
     to_edge_list_text,
 )
-from .grid import Spectrum, TimeGrid
+from .grid import Series, Spectrum, TimeGrid
 from .open_quantum import (
     AncillaryFirstPassage,
     DensityMatrixSeries,
@@ -87,10 +84,8 @@ from .open_quantum import (
     sticky_first_passage,
 )
 from .quantum import (
-    AmplitudeSeries,
     build_hamiltonian,
     evolve_schrodinger,
-    occupation,
     transition_probabilities,
 )
 

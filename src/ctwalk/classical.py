@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
-from .grid import Spectrum, TimeGrid
+from .grid import Series, Spectrum, TimeGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,17 +46,6 @@ class RateMatrix:
         return Spectrum(lam, u, np.sqrt(self.degrees))
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilitySeries:
-    """Per-vertex occupation probabilities over a uniform grid; shape (n_times, n)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def vertex(self, v: int) -> np.ndarray:
-        return self.values[:, v - 1]
-
-
 def build_rate_matrix(g: Graph) -> RateMatrix:
     """K = J D^{-1} - I for a connected graph."""
     if not g.is_connected():
@@ -68,13 +57,13 @@ def build_rate_matrix(g: Graph) -> RateMatrix:
     return RateMatrix(matrix=k, adjacency=j, degrees=deg)
 
 
-def evolve_master(rm: RateMatrix, start: int, grid: TimeGrid) -> ProbabilitySeries:
+def evolve_master(rm: RateMatrix, start: int, grid: TimeGrid) -> Series:
     """p(t) = exp(K t) delta_start on every grid point.
 
     Returns the full (n_times, n) array; for long horizons where only a few
     vertices matter use vertex_occupations instead.
     """
-    return ProbabilitySeries(grid, rm.spectrum.series(start, tuple(range(1, rm.n + 1)), grid).T)
+    return Series(grid, rm.spectrum.series(start, tuple(range(1, rm.n + 1)), grid).T)
 
 
 def vertex_occupations(

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import ColorAssignment
-from .grid import TimeGrid
-from .quantum import AmplitudeSeries
+from .grid import Series, TimeGrid
 
 
 def reduce_density(psi: np.ndarray, coloring: ColorAssignment) -> np.ndarray:
@@ -49,7 +48,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def entropy_series(series: AmplitudeSeries, coloring: ColorAssignment) -> np.ndarray:
+def entropy_series(series: Series, coloring: ColorAssignment) -> np.ndarray:
     """von Neumann entropy of the class reduction at every grid point.
 
     Uses the closed form for 2x2 eigenvalues, (1 +- d)/2 with

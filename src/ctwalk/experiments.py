@@ -1,4 +1,4 @@
-"""Sweep orchestration: cases, side-chain deltas, power-law fit, studies.
+"""Sweep orchestration: cases, side-chain deltas, power-law fit, entropy study.
 
 A case is one (N, S, offset, walk) pipeline run: build the graph, evolve
 from the target, deconvolve, find the horizon, take the mean. Sweeps over
@@ -85,7 +85,13 @@ def _model_graph(n: int, s: int, offset: int) -> Graph:
 
 
 def walk_model(g: Graph, walk: str) -> Spectrum | classical.RateMatrix:
-    """What run_pipeline and the evolvers read: a Spectrum, or a RateMatrix carrying one."""
+    """What run_pipeline and the evolvers read: a Spectrum, or a RateMatrix carrying one.
+
+    No walk passes between the pieces of a disconnected graph, so one is
+    refused here, before any grid is solved.
+    """
+    if not g.is_connected():
+        raise ValidationError("first passage needs a connected graph")
     if walk == "quantum":
         return quantum.spectrum(g)
     if walk == "classical":
@@ -361,25 +367,6 @@ def speedup_fit(records: list[SweepRecord]) -> PowerLawFit:
     return fit_power_law(np.array(ns), np.array(ratios))
 
 
-def offset_study(
-    n: int,
-    offsets: list[int],
-    walk: str,
-    dt: float = 0.01,
-    eps: float = 1e-6,
-    cache_dir: str | Path | None = None,
-) -> dict[int, Deltas]:
-    """Deltas as the side-chain mount slides away from the center."""
-    out: dict[int, Deltas] = {}
-    for offset in offsets:
-        records = {
-            s: cached_run_case(n, s, offset, walk, dt, eps, cache_dir)
-            for s in (0, 1, 2)
-        }
-        out[offset] = side_chain_deltas(records)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Entropy study
 # ---------------------------------------------------------------------------
@@ -395,22 +382,12 @@ class EntropyCase:
     average: float
 
 
-@dataclass(frozen=True, eq=False)
-class EntropyStudy:
-    cases: dict[int, EntropyCase]
-
-    @property
-    def average_gap_2_0(self) -> float:
-        """Average-entropy difference between the S = 2 and S = 0 cases."""
-        return self.cases[2].average - self.cases[0].average
-
-
 def entropy_study(
     n: int,
     offset: int = 0,
     dt: float = 0.01,
     eps: float = 1e-6,
-) -> EntropyStudy:
+) -> dict[int, EntropyCase]:
     """Entropy series for each S in ENTROPY_S_VALUES, each on its own quantum horizon."""
     cases: dict[int, EntropyCase] = {}
     for s in ENTROPY_S_VALUES:
@@ -424,4 +401,4 @@ def entropy_study(
         cases[s] = EntropyCase(
             S=s, grid=grid, entropy=series, tau0=result.tau0, average=avg
         )
-    return EntropyStudy(cases=cases)
+    return cases

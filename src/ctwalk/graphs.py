@@ -75,9 +75,6 @@ class Graph:
             j[v - 1, u - 1] = 1.0
         return j
 
-    def vertices_labeled(self, label: str) -> list[int]:
-        return [v for v in range(1, self.n + 1) if self.labels[v - 1] == label]
-
     def is_connected(self) -> bool:
         if self.n == 1:
             return True

@@ -1,4 +1,4 @@
-"""Uniform time grids, quadrature to a horizon, blocked mode sums, walk spectra.
+"""Uniform time grids, quadrature to a horizon, blocked mode sums, walk spectra and series.
 
 All dynamical quantities in this package live on a uniform grid starting
 at t = 0. Time is measured in units of the inverse hop rate (classical)
@@ -69,6 +69,25 @@ class TimeGrid:
             tt = np.append(tt, horizon)
             yy = np.append(yy, np.interp(horizon, t, y))
         return tt, yy
+
+
+@dataclass(frozen=True, eq=False)
+class Series:
+    """A walk's per-vertex series over a uniform grid; values has shape (n_times, n).
+
+    Occupation probabilities for the classical walk, complex amplitudes for
+    the quantum walk.
+    """
+
+    grid: TimeGrid
+    values: np.ndarray
+
+    def vertex(self, v: int) -> np.ndarray:
+        """The series at vertex v, 1-indexed."""
+        n = self.values.shape[1]
+        if not (1 <= v <= n):
+            raise ValidationError(f"vertex {v} out of range 1..{n}")
+        return self.values[:, v - 1]
 
 
 def blocked_sum(

@@ -31,9 +31,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .classical import ProbabilitySeries
+from .grid import Series
 from .parallel import ordered_map
-from .quantum import AmplitudeSeries
 
 # Cells per encoding block: bounds the transient arrays and bytes of a
 # block whatever the column count.
@@ -287,7 +286,7 @@ def write_columns_csv(
 
 
 def write_probability_series_csv(
-    path: str | Path, series: ProbabilitySeries, config: Mapping[str, Any]
+    path: str | Path, series: Series, config: Mapping[str, Any]
 ) -> None:
     """Header t,p1,...,pn; one row per grid point."""
     n = series.values.shape[1]
@@ -297,7 +296,7 @@ def write_probability_series_csv(
 
 
 def write_amplitude_series_csv(
-    path: str | Path, series: AmplitudeSeries, config: Mapping[str, Any]
+    path: str | Path, series: Series, config: Mapping[str, Any]
 ) -> None:
     """Header t,re_psi1,im_psi1,...; one row per grid point."""
     n = series.values.shape[1]
@@ -310,7 +309,7 @@ def write_amplitude_series_csv(
 
 
 def write_occupation_csv(
-    path: str | Path, series: AmplitudeSeries, config: Mapping[str, Any]
+    path: str | Path, series: Series, config: Mapping[str, Any]
 ) -> None:
     """Header t,P1,...,Pn with occupation probabilities."""
     n = series.values.shape[1]

@@ -17,13 +17,13 @@ probability on the complementary part of the graph:
 In both cases F = -(1/A) d sigma/dt with A = sigma(0) - sigma(tau0), which
 makes F integrate to one on [0, tau0] by construction. The direction of the
 jump operator and the exact vertex set defining sigma are both physically
-ambiguous, so both are configurable and results record what was used.
+ambiguous, so the caller passes both; the ancillary command records them
+with its outputs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -86,7 +86,6 @@ class AncillaryFirstPassage:
     F: np.ndarray
     tau0: float
     normalization: float
-    sigma_vertices: tuple[int, ...]
     recurrence_time: float | None = None
 
 
@@ -114,13 +113,6 @@ class DensityMatrixSeries:
     step: tuple[np.ndarray, np.ndarray, np.ndarray]
     substeps: int
     diagnostics: dict  # solver, cond_R, taylor_degree and trace_drift
-
-    def populations(self) -> np.ndarray:
-        """Diagonal of rho(t), shape (n_times, n)."""
-        return self.pops
-
-    def trace_drift(self) -> float:
-        return float(np.max(np.abs(self.pops.sum(axis=1) - 1.0)))
 
     def density_matrices(self, steps: np.ndarray) -> np.ndarray:
         """rho at increasing grid steps, shape (len(steps), n, n)."""
@@ -193,21 +185,13 @@ def evolve_lindblad(
     return DensityMatrixSeries(grid, pops, r, x0, step, substeps, diagnostics)
 
 
-def complement_flux(
-    sigma: np.ndarray,
-    grid: TimeGrid,
-    sigma_vertices: tuple[int, ...],
-    tau0_reference: float | None = None,
-) -> AncillaryFirstPassage:
+def complement_flux(sigma: np.ndarray, grid: TimeGrid) -> AncillaryFirstPassage:
     """Turn a sigma series into a normalized F estimate.
 
     F_raw = -d sigma/dt by centered differences (one-sided at the ends); its
     own first zero after the first peak fixes tau0, and the trapezoid
     integral of F_raw over [0, tau0] normalizes F so that its integral over
     the horizon is one exactly.
-
-    When tau0_reference is given (the horizon of the convolution result the
-    estimate stands in for), a warning flags material recurrence before it.
     """
     dt = grid.dt
     if float(sigma[0] - sigma.min()) < 1e-9:
@@ -229,43 +213,22 @@ def complement_flux(
     rebound = sigma - np.minimum.accumulate(sigma)
     rec_idx = np.nonzero(rebound > 0.01 * (sigma[0] - sigma.min()))[0]
     recurrence = float(t[rec_idx[0]]) if len(rec_idx) else None
-    if (
-        recurrence is not None
-        and tau0_reference is not None
-        and recurrence < tau0_reference
-    ):
-        warnings.warn(
-            f"complement probability rises again at t={recurrence:.3f}, inside "
-            f"the reference horizon {tau0_reference:.3f}; the absorber is too "
-            "small and the estimate is contaminated",
-            stacklevel=2,
-        )
     return AncillaryFirstPassage(
         grid=grid,
         sigma=sigma,
         F=raw / a,
         tau0=tau0,
         normalization=a,
-        sigma_vertices=sigma_vertices,
         recurrence_time=recurrence,
     )
 
 
-def _default_sigma_vertices(g: Graph, target: int) -> tuple[int, ...]:
-    """Main-chain vertices short of the target; side/decoration vertices excluded."""
-    return tuple(v for v in g.vertices_labeled("chain") if v != target)
-
-
 def sticky_first_passage(
-    series: DensityMatrixSeries,
-    sigma_vertices: tuple[int, ...],
-    tau0_reference: float | None = None,
+    series: DensityMatrixSeries, sigma_vertices: tuple[int, ...]
 ) -> AncillaryFirstPassage:
     """F from the population decay of the given complement vertices."""
-    pops = series.populations()
     idx = np.array(sigma_vertices, dtype=int) - 1
-    sigma = pops[:, idx].sum(axis=1)
-    return complement_flux(sigma, series.grid, tuple(sigma_vertices), tau0_reference)
+    return complement_flux(series.pops[:, idx].sum(axis=1), series.grid)
 
 
 def ring_first_passage(
@@ -274,24 +237,20 @@ def ring_first_passage(
     ring_size: int,
     start: int,
     grid: TimeGrid,
-    sigma_vertices: tuple[int, ...] | None = None,
-    tau0_reference: float | None = None,
+    sigma_vertices: tuple[int, ...],
 ) -> AncillaryFirstPassage:
     """Dress target with a ring, evolve unitarily, and read F off sigma.
 
-    sigma_vertices defaults to the main chain minus the target. Passing the
-    chain including the target instead moves the measured boundary to the
-    ring edges; the sweep reports cover both conventions.
+    Counting the target in sigma_vertices moves the measured boundary from
+    the target to the ring edges; the sweep reports cover both conventions.
     """
     g.check_vertex(target)
     g.check_vertex(start)
     dressed = dress_with_ring(g, target, ring_size)
-    if sigma_vertices is None:
-        sigma_vertices = _default_sigma_vertices(g, target)
     amp = evolve_schrodinger(spectrum(dressed), start, grid)
     idx = np.array(sigma_vertices, dtype=int) - 1
     sigma = (np.abs(amp.values[:, idx]) ** 2).sum(axis=1)
-    return complement_flux(sigma, grid, tuple(sigma_vertices), tau0_reference)
+    return complement_flux(sigma, grid)
 
 
 def overlay_l2_error(

@@ -9,26 +9,10 @@ to floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ValidationError
 from .graphs import Graph
-from .grid import Spectrum, TimeGrid
-
-
-@dataclass(frozen=True, eq=False)
-class AmplitudeSeries:
-    """Complex wavefunction samples over a uniform grid; shape (n_times, n)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
+from .grid import Series, Spectrum, TimeGrid
 
 def build_hamiltonian(g: Graph, potential: dict[int, float] | None = None) -> np.ndarray:
     """H = adjacency + diag(potential); potential maps 1-indexed vertices to energies."""
@@ -46,16 +30,9 @@ def spectrum(g: Graph) -> Spectrum:
     return Spectrum(-1j * lam, u, np.ones(g.n))
 
 
-def evolve_schrodinger(h: Spectrum, start: int, grid: TimeGrid) -> AmplitudeSeries:
+def evolve_schrodinger(h: Spectrum, start: int, grid: TimeGrid) -> Series:
     """psi(t) = exp(-i H t) delta_start on every grid point."""
-    return AmplitudeSeries(grid, h.series(start, tuple(range(1, h.n + 1)), grid).T)
-
-
-def occupation(series: AmplitudeSeries, v: int) -> np.ndarray:
-    """|psi_v(t)|^2 on the series grid."""
-    if not (1 <= v <= series.n):
-        raise ValidationError(f"vertex {v} out of range 1..{series.n}")
-    return np.abs(series.values[:, v - 1]) ** 2
+    return Series(grid, h.series(start, tuple(range(1, h.n + 1)), grid).T)
 
 
 def transition_probabilities(

@@ -332,7 +332,7 @@ def test_criterion_9_conservation(reference_f):
     lgrid = TimeGrid.from_span(result9.tau0 + 6.0, DT)
     cfg = LindbladConfig(rate=5.0, potential=-2.5, jump=(10, 9))
     rho = evolve_lindblad(sticky, cfg, 1, lgrid)
-    trace_dev = rho.trace_drift()
+    trace_dev = rho.diagnostics["trace_drift"]
 
     coloring = bipartite_coloring(g)
     reduced_dev = 0.0
@@ -347,8 +347,7 @@ def test_criterion_9_conservation(reference_f):
         )
         lam = np.linalg.eigvalsh(red)
         eig_floor = min(eig_floor, float(lam.min()))
-    study = entropy_study(9, dt=DT, eps=EPS)
-    for case in study.cases.values():
+    for case in entropy_study(9, dt=DT, eps=EPS).values():
         entropy_lo = min(entropy_lo, float(case.entropy.min()))
         entropy_hi = max(entropy_hi, float(case.entropy.max()))
 

@@ -105,6 +105,7 @@ def test_simulate_custom_graph(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["tau"] == pytest.approx(9.0, rel=1e-3)  # (4-1)^2 for a bare chain
+    assert doc["config"]["dt"] == 0.01 and doc["config"]["epsilon"] == 1e-6
     assert (tmp_path / "P14.csv").exists()
 
 
@@ -185,6 +186,22 @@ def test_oversized_quantum_grid_exits_2_before_any_series(tmp_path, capsys, monk
     assert err.startswith("error: the quantum solve on 1230001 grid points")
     assert f"budget of {MAX_SOLVE_POINTS}" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_disconnected_graph_exits_2_before_any_series(tmp_path, capsys, monkeypatch):
+    """Two 3-chains: no walk reaches vertex 6 from 1, so no grid is ever solved."""
+    def unreachable(*args):
+        raise AssertionError("series evaluated on a disconnected graph")
+
+    monkeypatch.setattr(experiments.quantum, "transition_probabilities", unreachable)
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("n=6\n1 2\n2 3\n4 5\n5 6\n")
+    code = run(["simulate", "--graph-file", graph_file, "--walk", "quantum",
+                "--target", 6, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: first passage needs a connected graph\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -275,6 +292,7 @@ def test_ancillary_ring_overlay(tmp_path):
     doc = json.loads((tmp_path / "overlay.json").read_text())
     assert doc["overlay_L2_error"] <= 0.10
     assert doc["M"] == 10 and doc["lambda"] is None
+    assert doc["config"]["offset"] == 0
     header = (tmp_path / "sigma_F.csv").read_text().splitlines()[1]
     assert header == "t,sigma,F"
 
@@ -307,6 +325,33 @@ def test_untrusted_propagator_exits_1_without_traceback(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+def test_ancillary_notes_recurrence_inside_reference_horizon(tmp_path, capsys):
+    assert run(["ancillary", "--method", "ring", "--N", 9, "--M", 4,
+                "--out-dir", tmp_path / "small"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads((tmp_path / "small" / "overlay.json").read_text())
+    assert doc["recurrence_time"] < doc["tau0_reference"]
+    assert (f"note: sigma rises again at t = {doc['recurrence_time']:.3f}, inside the "
+            f"reference horizon {doc['tau0_reference']:.3f}") in out
+    assert run(["ancillary", "--method", "ring", "--N", 9, "--M", 10,
+                "--out-dir", tmp_path / "big"]) == 0
+    assert "note:" not in capsys.readouterr().out
+    doc = json.loads((tmp_path / "big" / "overlay.json").read_text())
+    assert doc["sigma_vertices"] == list(range(1, 9))  # the chain short of the target
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--S", "1"],
+    ["ancillary", "--method", "ring", "--S", "0"],
+], ids=["entropy", "ancillary"])
+def test_commands_without_side_chain_reject_S(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out-dir", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --S" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ancillary_rejects_negative_rate(tmp_path, capsys):
     code = run(["ancillary", "--method", "sticky", "--N", 9, "--lambda", -1,
                 "--out-dir", tmp_path])
@@ -324,6 +369,7 @@ def test_montecarlo_outputs_and_determinism(tmp_path, capsys):
     assert doc["n_capped"] == 0 and doc["capped_fraction"] == 0.0
     assert doc["l1_distance"] < 0.1
     assert doc["mfpt_linear_solve"] == pytest.approx(16.0, abs=1e-9)
+    assert doc["config"]["t_cap"] == 1e4
     out2 = tmp_path / "two"
     assert run(args + ["--out-dir", out2]) == 0
     assert (out1 / "histogram.csv").read_bytes() == (out2 / "histogram.csv").read_bytes()

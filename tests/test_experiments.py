@@ -13,7 +13,6 @@ from ctwalk import (
     fit_power_law,
     from_edge_list_text,
     mfpt_linear_solve,
-    offset_study,
     parallel,
     run_case,
     side_chain_deltas,
@@ -278,8 +277,10 @@ def test_delta_table_groups_by_n():
 
 
 def test_offset_study_keeps_speedup_off_center():
-    table = offset_study(9, [-1, 0, 1], "quantum")
-    assert set(table) == {-1, 0, 1}
+    table = {
+        offset: side_chain_deltas({s: run_case(9, s, offset, "quantum") for s in (0, 1, 2)})
+        for offset in (-1, 0, 1)
+    }
     assert all(d.d1 < 0.0 for d in table.values())
     # mirrored offsets describe mirror graphs of each other; the 1 -> N values
     # they produce are close but not identical (the kernel end differs)
@@ -287,9 +288,11 @@ def test_offset_study_keeps_speedup_off_center():
 
 
 def test_entropy_study_nine_chain():
-    study = entropy_study(9)
-    for s, case in study.cases.items():
+    cases = entropy_study(9)
+    assert sorted(cases) == [0, 1, 2]
+    for s, case in cases.items():
+        assert case.S == s
         assert case.entropy[0] == pytest.approx(0.0, abs=1e-9)
         assert np.all((case.entropy >= 0.0) & (case.entropy <= 1.0))
         assert 0.0 <= case.average <= 1.0
-    assert study.average_gap_2_0 > 0.0
+    assert cases[2].average - cases[0].average > 0.0

@@ -21,6 +21,10 @@ from ctwalk.experiments import run_pipeline
 from ctwalk.quantum import spectrum
 
 
+# the complement set the ancillary command passes by default on the 9-chain
+CHAIN_SHORT_OF_TARGET = tuple(range(1, 9))
+
+
 @pytest.fixture(scope="module")
 def nine_chain():
     return build_side_chain_graph(SideChainConfig(N=9))
@@ -75,11 +79,11 @@ def test_dissipative_run_conserves_trace_and_positivity(nine_chain, sticky_grid)
     sticky = attach_sticky_vertex(nine_chain, 9)
     cfg = LindbladConfig(rate=5.0, potential=-2.5, jump=(10, 9))
     rho = evolve_lindblad(sticky, cfg, 1, sticky_grid)
-    assert rho.trace_drift() < 1e-8
+    assert rho.diagnostics["trace_drift"] < 1e-8
     steps = _sampled_steps(sticky_grid)
     mats = rho.density_matrices(steps)
     diag = np.einsum("tii->ti", mats)
-    assert np.max(np.abs(diag - rho.populations()[steps])) < 1e-12
+    assert np.max(np.abs(diag - rho.pops[steps])) < 1e-12
     herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
     assert herm < 1e-10
     eigs = np.linalg.eigvalsh(mats)
@@ -116,7 +120,7 @@ def test_populations_match_dense_liouvillian(nine_chain, sticky_grid, jump, dt):
     sticky = attach_sticky_vertex(nine_chain, 9)
     cfg = LindbladConfig(rate=5.0, potential=-2.5, jump=jump)
     grid = TimeGrid.from_span(sticky_grid.t_end, dt)
-    pops = evolve_lindblad(sticky, cfg, 1, grid).populations()
+    pops = evolve_lindblad(sticky, cfg, 1, grid).pops
     assert np.max(np.abs(pops - _dense_populations(sticky, cfg, 1, grid))) <= 1e-12
 
 
@@ -125,8 +129,8 @@ def test_half_step_reproduces_populations(nine_chain, sticky_grid, jump):
     sticky = attach_sticky_vertex(nine_chain, 9)
     cfg = LindbladConfig(rate=5.0, potential=-2.5, jump=jump)
     half = TimeGrid(dt=sticky_grid.dt / 2, n=2 * sticky_grid.n - 1)
-    coarse = evolve_lindblad(sticky, cfg, 1, sticky_grid).populations()
-    fine = evolve_lindblad(sticky, cfg, 1, half).populations()[::2]
+    coarse = evolve_lindblad(sticky, cfg, 1, sticky_grid).pops
+    fine = evolve_lindblad(sticky, cfg, 1, half).pops[::2]
     assert np.max(np.abs(coarse - fine)) <= 1e-12
 
 
@@ -167,17 +171,12 @@ def test_ring_overlay_nine_path(nine_chain, reference_nine, sticky_grid):
     assert overlay_l2_error(est, result.F, ref_grid, result.tau0) < 0.10
 
 
-def test_ring_default_complement_is_chain_minus_target(nine_chain, sticky_grid):
-    est = ring_first_passage(nine_chain, 9, 10, 1, sticky_grid)
-    assert est.sigma_vertices == tuple(range(1, 9))
-
-
 def test_larger_ring_delays_recurrence_and_does_not_hurt(
     nine_chain, reference_nine, sticky_grid
 ):
     result, ref_grid = reference_nine
-    small = ring_first_passage(nine_chain, 9, 10, 1, sticky_grid)
-    big = ring_first_passage(nine_chain, 9, 200, 1, sticky_grid)
+    small = ring_first_passage(nine_chain, 9, 10, 1, sticky_grid, CHAIN_SHORT_OF_TARGET)
+    big = ring_first_passage(nine_chain, 9, 200, 1, sticky_grid, CHAIN_SHORT_OF_TARGET)
     err_small = overlay_l2_error(small, result.F, ref_grid, result.tau0)
     err_big = overlay_l2_error(big, result.F, ref_grid, result.tau0)
     assert err_big <= err_small + 1e-12
@@ -185,23 +184,18 @@ def test_larger_ring_delays_recurrence_and_does_not_hurt(
 
 def test_tiny_ring_recurs_before_reference_horizon(nine_chain, reference_nine, sticky_grid):
     result, _ = reference_nine
-    with pytest.warns(UserWarning, match="rises again"):
-        est = ring_first_passage(
-            nine_chain, 9, 4, 1, sticky_grid, tau0_reference=result.tau0
-        )
+    est = ring_first_passage(nine_chain, 9, 4, 1, sticky_grid, CHAIN_SHORT_OF_TARGET)
     assert est.recurrence_time is not None
     assert est.recurrence_time < result.tau0
     # a comfortably sized ring does not recur inside the reference horizon
-    big = ring_first_passage(
-        nine_chain, 9, 10, 1, sticky_grid, tau0_reference=result.tau0
-    )
+    big = ring_first_passage(nine_chain, 9, 10, 1, sticky_grid, CHAIN_SHORT_OF_TARGET)
     assert big.recurrence_time is None or big.recurrence_time > result.tau0
 
 
 def test_constant_sigma_is_degenerate():
     grid = TimeGrid.from_span(2.0, 0.01)
     with pytest.raises(DegenerateNormalizationError):
-        complement_flux(np.ones(grid.n), grid, (1, 2))
+        complement_flux(np.ones(grid.n), grid)
 
 
 def test_sticky_vertex_required(nine_chain):

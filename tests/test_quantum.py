@@ -7,9 +7,10 @@ from ctwalk import (
     ValidationError,
     attach_sticky_vertex,
     build_hamiltonian,
+    build_rate_matrix,
     build_side_chain_graph,
+    evolve_master,
     evolve_schrodinger,
-    occupation,
     path_graph,
     transition_probabilities,
 )
@@ -55,7 +56,7 @@ def test_sticky_potential_on_diagonal():
 def test_two_path_rabi_oscillation():
     grid = TimeGrid.from_span(8.0, 0.01)
     series = evolve_schrodinger(spectrum(path_graph(2)), 1, grid)
-    assert np.max(np.abs(occupation(series, 2) - np.sin(grid.times) ** 2)) < 1e-12
+    assert np.max(np.abs(np.abs(series.vertex(2)) ** 2 - np.sin(grid.times) ** 2)) < 1e-12
 
 
 def test_three_path_transfer_probability():
@@ -123,20 +124,24 @@ def test_occupations_sum_to_one():
     series = evolve_schrodinger(
         spectrum(chain(9, 1)), 1, TimeGrid.from_span(10.0, 0.1)
     )
-    total = sum(occupation(series, v) for v in range(1, 11))
+    total = sum(np.abs(series.vertex(v)) ** 2 for v in range(1, 11))
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_two_path_period_is_pi():
     grid = TimeGrid.from_span(4.0 * np.pi, 0.001)
     series = evolve_schrodinger(spectrum(path_graph(2)), 1, grid)
-    p2 = occupation(series, 2)
+    p2 = np.abs(series.vertex(2)) ** 2
     shift = int(round(np.pi / grid.dt))
     # pi is not a grid point; the mismatch is bounded by one step of slope <= 1
     assert np.max(np.abs(p2[shift:] - p2[:-shift])) < grid.dt
 
 
 def test_unknown_vertex_rejected():
-    series = evolve_schrodinger(spectrum(path_graph(3)), 1, TimeGrid(0.1, 5))
-    with pytest.raises(ValidationError):
-        occupation(series, 4)
+    g, grid = path_graph(3), TimeGrid(0.1, 5)
+    # vertex 0 would otherwise wrap around to the last column
+    for series in (evolve_schrodinger(spectrum(g), 1, grid),
+                   evolve_master(build_rate_matrix(g), 1, grid)):
+        for v in (0, 4):
+            with pytest.raises(ValidationError, match=f"vertex {v} out of range 1..3"):
+                series.vertex(v)
