@@ -22,17 +22,7 @@ from .coherence import (
     reduce_density,
     von_neumann_entropy,
 )
-from .errors import (
-    DegenerateNormalizationError,
-    GridMismatchError,
-    IllConditionedError,
-    NotBipartiteError,
-    NoZeroCrossingError,
-    NumericsError,
-    UnknownVertexError,
-    ValidationError,
-    ZeroNormError,
-)
+from .errors import NoZeroCrossingError, NumericsError, ValidationError
 from .experiments import (
     Deltas,
     PowerLawFit,

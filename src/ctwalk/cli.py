@@ -5,9 +5,11 @@ fit), ancillary (sticky-tail and ring estimators vs the convolution
 result), montecarlo (ensemble sampling vs the convolution result), and
 entropy (coherence diagnostics).
 
-Exit codes: 0 success, 1 numerical failure or a worker process that died,
-2 invalid input. Flags can be preloaded from a plain key=value file via
---config; explicit flags win.
+Exit codes: 0 success; 1 a NumericsError or a worker process that died; 2 a
+ValidationError or an unreadable path. Flags can be preloaded from a plain
+key=value file via --config; explicit flags win. A flag a run does not read
+is refused with exit code 2, from --config too: ancillary refuses the other
+method's flags, simulate --graph-file the chain model's.
 """
 
 from __future__ import annotations
@@ -51,8 +53,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--N", type=int, default=9, help="main-chain length")
-    p.add_argument("--offset", type=int, default=0, help="mount offset from the center")
+    p.add_argument("--N", type=int, default=9, help="main-chain length (default 9)")
+    p.add_argument("--offset", type=int, default=0,
+                   help="mount offset from the center (default 0)")
+
+
+# flags only some runs read, None unless given: dest -> (flag, value a reading run defaults to)
+OPTIONAL = {"N": ("--N", 9), "S": ("--S", 0), "offset": ("--offset", 0), "lam": ("--lambda", 5.0),
+            "V": ("--V", -2.5), "jump_direction": ("--jump-direction", "as-printed"),
+            "M": ("--M", 10)}
+
+
+def _settle(args: argparse.Namespace, used: tuple, refused: tuple, context: str) -> None:
+    """Refuse the flags of refused that were given with context; fill in those of used."""
+    given = [OPTIONAL[dest][0] for dest in refused if getattr(args, dest) is not None]
+    if given:
+        raise ValidationError(f"{', '.join(given)} cannot be used with {context}")
+    for dest in used:
+        if getattr(args, dest) is None:
+            setattr(args, dest, OPTIONAL[dest][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,12 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one case end to end")
     _add_model(p_sim)
-    p_sim.add_argument("--S", type=int, default=0, help="side-chain length")
+    p_sim.add_argument("--S", type=int, help="side-chain length (default 0)")
     _add_common(p_sim)
     p_sim.add_argument("--walk", choices=("classical", "quantum"), default="quantum")
     p_sim.add_argument(
         "--graph-file", type=Path, default=None,
-        help="edge-list file overriding the chain model (first line n=<count>)",
+        help="edge-list file replacing the chain model (first line n=<count>); "
+             "refuses --N, --S and --offset",
     )
     p_sim.add_argument("--start", type=int, default=None, help="default 1")
     p_sim.add_argument("--target", type=int, default=None,
@@ -78,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full-series", action="store_true",
         help="also write the per-vertex occupation series",
     )
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, N=None, S=None, offset=None)  # see OPTIONAL
 
     p_sweep = sub.add_parser("sweep", help="sweep N and S, emit tables and the fit")
     _add_common(p_sweep)
@@ -93,16 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_anc = sub.add_parser("ancillary", help="absorber estimators vs the convolution F")
-    _add_model(p_anc)
+    p_anc.add_argument("--N", type=int, default=9, help="main-chain length (default 9)")
     _add_common(p_anc)
     p_anc.add_argument("--method", choices=("sticky", "ring"), required=True)
-    p_anc.add_argument("--lambda", dest="lam", type=float, default=5.0,
-                       help="dissipation rate of the sticky coupling")
-    p_anc.add_argument("--V", type=float, default=-2.5, help="sticky on-site potential")
-    p_anc.add_argument("--M", type=int, default=10, help="ring size")
+    p_anc.add_argument("--lambda", dest="lam", type=float,  # these four: see OPTIONAL
+                       help="sticky only: dissipation rate of the coupling (default 5)")
+    p_anc.add_argument("--V", type=float, help="sticky only: on-site potential (default -2.5)")
+    p_anc.add_argument("--M", type=int, help="ring only: ring size (default 10)")
     p_anc.add_argument(
-        "--jump-direction", choices=("as-printed", "reversed"), default="as-printed",
-        help="as-printed: L = |target><sticky|; reversed: L = |sticky><target|",
+        "--jump-direction", choices=("as-printed", "reversed"),
+        help="sticky only: as-printed (default), L = |target><sticky|; "
+             "reversed, L = |sticky><target|",
     )
     p_anc.add_argument(
         "--sigma-includes-target", action="store_true",
@@ -139,6 +160,9 @@ def _model_config(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    chain = ("N", "S", "offset")
+    used, refused = ((), chain) if args.graph_file is not None else (chain, ())
+    _settle(args, used, refused, "--graph-file")
     if args.graph_file is not None:
         g = from_edge_list_text(args.graph_file.read_text())
         config, last = {"graph": str(args.graph_file), "dt": args.dt,
@@ -172,8 +196,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     payload = {
         "N": g.n if args.graph_file else args.N,
-        "S": None if args.graph_file else args.S,
-        "offset": None if args.graph_file else args.offset,
+        "S": args.S,
+        "offset": args.offset,
         "walk": args.walk,
         "tau0": result.tau0,
         "tau": result.tau,
@@ -244,7 +268,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ancillary(args: argparse.Namespace) -> int:
-    g = build_side_chain_graph(SideChainConfig(N=args.N, offset=args.offset))
+    sticky_flags, ring_flags = ("lam", "V", "jump_direction"), ("M",)
+    used, refused = ((sticky_flags, ring_flags) if args.method == "sticky"
+                     else (ring_flags, sticky_flags))
+    _settle(args, used, refused, f"--method {args.method}")
+    g = build_side_chain_graph(SideChainConfig(N=args.N))
     target = args.N
     if args.method == "sticky":  # validated before the reference run
         sticky = attach_sticky_vertex(g, target)
@@ -253,7 +281,7 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
     ref, ref_grid = experiments.run_pipeline(quantum.spectrum(g), target, args.dt, args.epsilon)
     grid = TimeGrid.from_span(ref.tau0 + 6.0, args.dt)
     sigma_vertices = tuple(v for v in range(1, target + (1 if args.sigma_includes_target else 0)))
-    config = {"N": args.N, "offset": args.offset, "method": args.method, "dt": args.dt,
+    config = {"N": args.N, "method": args.method, "dt": args.dt,
               "sigma_includes_target": args.sigma_includes_target}
     if args.method == "sticky":
         rho = evolve_lindblad(sticky, lcfg, 1, grid)
@@ -272,9 +300,9 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
     payload = {
         "N": args.N,
         "method": args.method,
-        "lambda": args.lam if args.method == "sticky" else None,
-        "V": args.V if args.method == "sticky" else None,
-        "M": args.M if args.method == "ring" else None,
+        "lambda": args.lam,  # None for the method that refuses the flag
+        "V": args.V,
+        "M": args.M,
         "overlay_L2_error": err,
         "tau0_estimate": est.tau0,
         "tau0_reference": ref.tau0,

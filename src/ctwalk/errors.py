@@ -1,25 +1,17 @@
 """Exception types shared across the package.
 
-Two families: ``ValidationError`` for bad inputs (the CLI maps these to
-exit code 2) and ``NumericsError`` for failures of a numerical procedure
-on valid inputs (exit code 1), such as an ill-conditioned eigenbasis.
+Two families, one per CLI exit code: ``ValidationError`` for bad inputs
+(exit code 2), such as an unknown vertex, a graph with an odd cycle or
+series on different grids, and ``NumericsError`` for failures of a
+numerical procedure on valid inputs (exit code 1), such as an
+ill-conditioned eigenbasis or a density that integrates to zero. The one
+subclass, ``NoZeroCrossingError``, is what the quantum horizon search
+catches to double its grid.
 """
 
 
 class ValidationError(ValueError):
     """Input violates a documented precondition."""
-
-
-class UnknownVertexError(ValidationError):
-    """Vertex index outside the graph."""
-
-
-class NotBipartiteError(ValidationError):
-    """Graph contains an odd cycle; no two-coloring exists."""
-
-
-class GridMismatchError(ValidationError):
-    """Series do not share the same uniform time grid."""
 
 
 class NumericsError(RuntimeError):
@@ -28,15 +20,3 @@ class NumericsError(RuntimeError):
 
 class NoZeroCrossingError(NumericsError):
     """First-passage density never crosses zero on the given grid."""
-
-
-class ZeroNormError(NumericsError):
-    """First-passage density integrates to (numerically) zero."""
-
-
-class DegenerateNormalizationError(NumericsError):
-    """Complement probability did not decay; no normalization possible."""
-
-
-class IllConditionedError(NumericsError):
-    """Eigenbasis propagator cannot be trusted: ill-conditioned or drifting."""

@@ -24,8 +24,7 @@ from .errors import NoZeroCrossingError, NumericsError, ValidationError
 from .first_passage import (
     MAX_SOLVE_POINTS,
     FirstPassageResult,
-    deconvolve,
-    detect_tau0,
+    extract_first_passage,
     first_passage_result,
     solve_exp_sum,
 )
@@ -42,6 +41,10 @@ ENTROPY_S_VALUES = (0, 1, 2)
 # (acceptance criterion 5); a solve that misses it fails instead
 QUANTUM_RESIDUAL_MAX = 1e-4
 CLASSICAL_RESIDUAL_MAX = 1e-5
+# largest classical grid run_pipeline evaluates: 3.8x the N = 43, S = 2 grid
+# of 2,212,786 points. Peak RSS grows by about 102 B per point (that case
+# peaks at 244.5 MiB over a 29 MiB import floor), so about 0.83 GiB at the bound
+MAX_CLASSICAL_POINTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,8 @@ def run_pipeline(
 
     Raises NumericsError when the round-trip residual exceeds
     QUANTUM_RESIDUAL_MAX or CLASSICAL_RESIDUAL_MAX, and ValidationError
-    when a quantum grid would exceed MAX_SOLVE_POINTS.
+    when a grid would exceed MAX_SOLVE_POINTS (quantum) or
+    MAX_CLASSICAL_POINTS (classical), before any series on it.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
@@ -156,6 +160,11 @@ def run_pipeline(
         coefs[0] *= balance
         t_eps = classical.survival_horizon(rm, target, eps=eps, start=start)
         grid = TimeGrid.from_span(t_eps * 1.05 + 4.0, dt)
+        if grid.n > MAX_CLASSICAL_POINTS:
+            raise ValidationError(
+                f"the classical grid of {grid.n} points exceeds the budget "
+                f"of {MAX_CLASSICAL_POINTS}; raise dt"
+            )
         p_ab, p_bb = classical.vertex_occupations(rm, target, (start, target), grid)
         p_ab *= balance
         # F(0) is the hop rate start -> target, exactly 0 unless they are adjacent
@@ -181,14 +190,13 @@ def run_pipeline(
                 f"of {MAX_SOLVE_POINTS}; raise dt"
             )
         p_ab, p_bb = quantum.transition_probabilities(model, target, (start, target), grid)
-        # d/dt |psi_a|^2 = 2 Re(conj(psi_a) psi_a') is 0 where psi_a(0) = 0
-        F = deconvolve(p_ab, p_bb, grid, 0.0)
         try:
-            tau0 = detect_tau0(F, grid)
+            # d/dt |psi_a|^2 = 2 Re(conj(psi_a) psi_a') is 0 where psi_a(0) = 0
+            result = extract_first_passage(p_ab, p_bb, grid, 0.0)
         except NoZeroCrossingError:
             span *= 2.0
             continue
-        return _gated(first_passage_result(p_ab, p_bb, F, grid, tau0), QUANTUM_RESIDUAL_MAX)
+        return _gated(result, QUANTUM_RESIDUAL_MAX)
     raise NoZeroCrossingError(f"no zero of F within {span} time units; giving up")
 
 

@@ -38,13 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    GridMismatchError,
-    NoZeroCrossingError,
-    NumericsError,
-    ValidationError,
-    ZeroNormError,
-)
+from .errors import NoZeroCrossingError, NumericsError, ValidationError
 from .grid import TimeGrid, blocked_sum
 
 # largest grid run_pipeline hands to deconvolve: the blocked solve costs
@@ -76,7 +70,7 @@ class FirstPassageResult:
 
 def _check_inputs(p_ab: np.ndarray, p_bb: np.ndarray) -> None:
     if p_ab.shape != p_bb.shape or p_ab.ndim != 1:
-        raise GridMismatchError(
+        raise ValidationError(
             f"series must be 1-d and share a grid, got {p_ab.shape} vs {p_bb.shape}"
         )
     if len(p_ab) < 3:
@@ -182,7 +176,7 @@ def deconvolve(p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid, f0: float) ->
     p_bb = np.asarray(p_bb, dtype=float)
     _check_inputs(p_ab, p_bb)
     if len(p_ab) != grid.n:
-        raise GridMismatchError(f"series length {len(p_ab)} != grid length {grid.n}")
+        raise ValidationError(f"series length {len(p_ab)} != grid length {grid.n}")
     return _solve_blocked(p_ab, p_bb, grid.dt, f0)
 
 
@@ -195,9 +189,9 @@ def reconstruct(F: np.ndarray, p_bb: np.ndarray, grid: TimeGrid) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     p_bb = np.asarray(p_bb, dtype=float)
     if F.shape != p_bb.shape:
-        raise GridMismatchError(f"shape mismatch {F.shape} vs {p_bb.shape}")
+        raise ValidationError(f"shape mismatch {F.shape} vs {p_bb.shape}")
     if len(F) != grid.n:
-        raise GridMismatchError(f"series length {len(F)} != grid length {grid.n}")
+        raise ValidationError(f"series length {len(F)} != grid length {grid.n}")
     full = _conv_trunc(F, p_bb, grid.n)
     out = grid.dt * (full - 0.5 * (F[0] * p_bb + F * p_bb[0]))
     out[0] = 0.0
@@ -214,7 +208,7 @@ def detect_tau0(F: np.ndarray, grid: TimeGrid) -> float:
     """
     F = np.asarray(F, dtype=float)
     if len(F) != grid.n:
-        raise GridMismatchError(f"series length {len(F)} != grid length {grid.n}")
+        raise ValidationError(f"series length {len(F)} != grid length {grid.n}")
     fmax = float(F.max())
     if fmax <= 0.0:
         raise NoZeroCrossingError("F has no positive values; no peak to anchor on")
@@ -245,11 +239,11 @@ def mean_fpt(F: np.ndarray, grid: TimeGrid, tau0: float) -> FirstPassageResult:
     """
     F = np.asarray(F, dtype=float)
     if len(F) != grid.n:
-        raise GridMismatchError(f"series length {len(F)} != grid length {grid.n}")
+        raise ValidationError(f"series length {len(F)} != grid length {grid.n}")
     tt, ff = grid.up_to(F, tau0)
     norm = float(np.trapezoid(ff, tt))
     if abs(norm) <= 1e-12:
-        raise ZeroNormError(f"F integrates to {norm}; mean undefined")
+        raise NumericsError(f"F integrates to {norm}; mean undefined")
     tau = float(np.trapezoid(tt * ff, tt)) / norm
     return FirstPassageResult(grid=grid, F=F, tau0=float(tau0), tau=tau, norm=norm)
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotBipartiteError, UnknownVertexError, ValidationError
+from .errors import ValidationError
 
 Edge = tuple[int, int]
 
@@ -48,7 +48,7 @@ class Graph:
 
     def check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.n):
-            raise UnknownVertexError(f"vertex {v} not in graph with {self.n} vertices")
+            raise ValidationError(f"vertex {v} not in graph with {self.n} vertices")
 
     @cached_property
     def _neighbor_map(self) -> tuple[tuple[int, ...], ...]:
@@ -194,7 +194,7 @@ class ColorAssignment:
 def bipartite_coloring(g: Graph) -> ColorAssignment:
     """Two-coloring by breadth-first parity from vertex 1.
 
-    Raises NotBipartiteError when an odd cycle is present (possible for
+    Raises ValidationError when an odd cycle is present (possible for
     ring decorations of odd size).
     """
     colors = [0] * g.n
@@ -207,7 +207,7 @@ def bipartite_coloring(g: Graph) -> ColorAssignment:
                 colors[w - 1] = 3 - colors[u - 1]
                 queue.append(w)
             elif colors[w - 1] == colors[u - 1]:
-                raise NotBipartiteError(
+                raise ValidationError(
                     f"edge ({u},{w}) joins two vertices of the same parity class"
                 )
     if any(c == 0 for c in colors):

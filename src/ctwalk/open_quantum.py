@@ -29,11 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    DegenerateNormalizationError,
-    IllConditionedError,
-    ValidationError,
-)
+from .errors import NumericsError, ValidationError
 from .graphs import Graph, dress_with_ring
 from .grid import TimeGrid
 from .quantum import build_hamiltonian, evolve_schrodinger, spectrum
@@ -137,7 +133,7 @@ def evolve_lindblad(
     A^i = D^i + rate sum_{k<i} A^k u v^T D^(i-1-k), its degree-m Taylor step
     is p(hD) + sum_{k<m} ((hA)^k u) V_k^T, a diagonal plus rank m, with m <= 12
     and h set by a bound on ||A||_2 (Al-Mohy & Higham 2011). Raises
-    IllConditionedError if cond(R) > COND_MAX (near an exceptional point of
+    NumericsError if cond(R) > COND_MAX (near an exceptional point of
     H_eff) or the trace drifts by more than TRACE_TOL.
     """
     g_sticky.check_vertex(start)
@@ -154,8 +150,8 @@ def evolve_lindblad(
     mu, r = np.linalg.eig(h_eff)
     cond = float(np.linalg.cond(r))
     if not cond <= COND_MAX:
-        raise IllConditionedError(f"eigenvectors of H_eff have condition number {cond:.3g} "
-                                  f"> {COND_MAX:g}, near an exceptional point")
+        raise NumericsError(f"eigenvectors of H_eff have condition number {cond:.3g} "
+                            f"> {COND_MAX:g}, near an exceptional point")
     r_inv = np.linalg.inv(r)
     n = len(mu)
     z = -1j * (mu[:, None] - mu.conj()).ravel()
@@ -180,7 +176,7 @@ def evolve_lindblad(
     pops = np.concatenate([(x @ q).real for x in _x_blocks(x0, step, substeps, grid.n)])
     drift = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
     if not drift <= TRACE_TOL:
-        raise IllConditionedError(f"trace drifted by {drift:.3g} > {TRACE_TOL:g}")
+        raise NumericsError(f"trace drifted by {drift:.3g} > {TRACE_TOL:g}")
     diagnostics = {"solver": SOLVER, "cond_R": cond, "taylor_degree": m, "trace_drift": drift}
     return DensityMatrixSeries(grid, pops, r, x0, step, substeps, diagnostics)
 
@@ -195,7 +191,7 @@ def complement_flux(sigma: np.ndarray, grid: TimeGrid) -> AncillaryFirstPassage:
     """
     dt = grid.dt
     if float(sigma[0] - sigma.min()) < 1e-9:
-        raise DegenerateNormalizationError(
+        raise NumericsError(
             "complement probability never decays; no first-passage signal"
         )
     raw = np.empty_like(sigma)
@@ -206,7 +202,7 @@ def complement_flux(sigma: np.ndarray, grid: TimeGrid) -> AncillaryFirstPassage:
     tt, ff = grid.up_to(raw, tau0)
     a = float(np.trapezoid(ff, tt))
     if abs(a) < 1e-9:
-        raise DegenerateNormalizationError(
+        raise NumericsError(
             f"sigma decayed by {a}; no first-passage signal"
         )
     t = grid.times

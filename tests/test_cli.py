@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,7 @@ from ctwalk import (
     SideChainConfig,
     build_side_chain_graph,
     experiments,
+    first_passage,
     gillespie,
     io,
     mfpt_linear_solve,
@@ -23,6 +23,7 @@ from ctwalk import (
     path_graph,
 )
 from ctwalk.cli import main
+from ctwalk.experiments import MAX_CLASSICAL_POINTS
 from ctwalk.first_passage import MAX_SOLVE_POINTS
 from ctwalk.io import config_line, fmt
 
@@ -69,12 +70,13 @@ def test_simulate_series_files_match_per_cell_format(tmp_path, walk):
 @pytest.mark.parametrize("walk", ["classical", "quantum"])
 @pytest.mark.parametrize("residual", [16.8, float("nan")])
 def test_simulate_bad_residual_exits_1(tmp_path, capsys, monkeypatch, walk, residual):
-    solved = experiments.first_passage_result
+    # both walks take their round-trip residual from reconstruct
+    solved = first_passage.reconstruct
 
     def planted(*args):
-        return replace(solved(*args), reconstruction_error=residual)
+        return solved(*args) + residual
 
-    monkeypatch.setattr(experiments, "first_passage_result", planted)
+    monkeypatch.setattr(first_passage, "reconstruct", planted)
     code = run(["simulate", "--N", 5, "--walk", walk, "--out-dir", tmp_path / "out"])
     err = capsys.readouterr().err
     assert code == 1
@@ -159,18 +161,62 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["simulate", "--walk", "classical", "--epsilon", "nan"],
     ["simulate", "--epsilon", "1"],
     ["simulate", "--walk", "quantum", "--N", "3", "--dt", "5"],
+    ["ancillary", "--method", "ring", "--lambda", "5"],
+    ["ancillary", "--method", "ring", "--V", "-2.5"],
+    ["ancillary", "--method", "ring", "--jump-direction", "as-printed"],
+    ["ancillary", "--method", "ring", "--config", "{tmp}/sticky.conf"],
+    ["ancillary", "--method", "sticky", "--M", "12"],
+    ["simulate", "--graph-file", "{tmp}/chain.txt", "--N", "4"],
+    ["simulate", "--graph-file", "{tmp}/chain.txt", "--S", "0"],
+    ["simulate", "--graph-file", "{tmp}/chain.txt", "--offset", "0"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
         "S-set-not-int", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
         "lambda-nan", "V-inf", "bin-width-nan", "t-cap-negative", "bin-width-tiny",
-        "epsilon-nan", "epsilon-one", "dt-aliases-quantum"])
+        "epsilon-nan", "epsilon-one", "dt-aliases-quantum", "ring-lambda", "ring-V",
+        "ring-jump-direction", "ring-lambda-from-config", "sticky-M", "graph-file-N",
+        "graph-file-S", "graph-file-offset"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
+    (tmp_path / "chain.txt").write_text("n=4\n1 2\n2 3\n3 4\n")
+    (tmp_path / "sticky.conf").write_text("lambda=5\n")
     code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["ancillary", "--method", "ring", "--lambda", "1", "--V", "0", "--jump-direction",
+      "reversed"], "--lambda, --V, --jump-direction cannot be used with --method ring"),
+    (["ancillary", "--method", "ring", "--config", "{tmp}/sticky.conf"],
+     "--lambda cannot be used with --method ring"),
+    (["ancillary", "--method", "sticky", "--M", "10"], "--M cannot be used with --method sticky"),
+    (["simulate", "--graph-file", "{tmp}/chain.txt", "--N", "4", "--S", "0", "--offset", "0"],
+     "--N, --S, --offset cannot be used with --graph-file"),
+], ids=["ring", "ring-config", "sticky", "graph-file"])
+def test_refusal_names_every_unread_flag(tmp_path, capsys, argv, refused):
+    (tmp_path / "chain.txt").write_text("n=4\n1 2\n2 3\n3 4\n")
+    (tmp_path / "sticky.conf").write_text("lambda=5\n")
+    code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {refused}\n"
+
+
+def test_omitted_flags_take_their_defaults(tmp_path):
+    common = ["ancillary", "--N", 9]
+    for name, argv in (
+        ("sticky", ["--method", "sticky"]),
+        ("sticky-explicit", ["--method", "sticky", "--lambda", 5, "--V", -2.5,
+                             "--jump-direction", "as-printed"]),
+        ("ring", ["--method", "ring"]),
+        ("ring-explicit", ["--method", "ring", "--M", 10]),
+    ):
+        assert run(common + argv + ["--out-dir", tmp_path / name]) == 0
+    for name in ("sticky", "ring"):
+        default = (tmp_path / name / "overlay.json").read_text()
+        assert default == (tmp_path / f"{name}-explicit" / "overlay.json").read_text()
 
 
 def test_oversized_quantum_grid_exits_2_before_any_series(tmp_path, capsys, monkeypatch):
@@ -185,6 +231,22 @@ def test_oversized_quantum_grid_exits_2_before_any_series(tmp_path, capsys, monk
     assert code == 2
     assert err.startswith("error: the quantum solve on 1230001 grid points")
     assert f"budget of {MAX_SOLVE_POINTS}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_classical_grid_exits_2_before_any_series(tmp_path, capsys, monkeypatch):
+    # dt = 1e-3 puts the N = 43 horizon, about 2.1e4, on over 2.1e7 points
+    def unreachable(*args):
+        raise AssertionError("series evaluated on an over-budget grid")
+
+    monkeypatch.setattr(experiments.classical, "vertex_occupations", unreachable)
+    code = run(["simulate", "--walk", "classical", "--N", 43, "--dt", "1e-3",
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the classical grid of ")
+    assert f"budget of {MAX_CLASSICAL_POINTS}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -292,7 +354,6 @@ def test_ancillary_ring_overlay(tmp_path):
     doc = json.loads((tmp_path / "overlay.json").read_text())
     assert doc["overlay_L2_error"] <= 0.10
     assert doc["M"] == 10 and doc["lambda"] is None
-    assert doc["config"]["offset"] == 0
     header = (tmp_path / "sigma_F.csv").read_text().splitlines()[1]
     assert header == "t,sigma,F"
 
@@ -340,15 +401,16 @@ def test_ancillary_notes_recurrence_inside_reference_horizon(tmp_path, capsys):
     assert doc["sigma_vertices"] == list(range(1, 9))  # the chain short of the target
 
 
-@pytest.mark.parametrize("argv", [
-    ["entropy", "--S", "1"],
-    ["ancillary", "--method", "ring", "--S", "0"],
-], ids=["entropy", "ancillary"])
-def test_commands_without_side_chain_reject_S(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, flag", [
+    (["entropy", "--S", "1"], "--S"),
+    (["ancillary", "--method", "ring", "--S", "0"], "--S"),
+    (["ancillary", "--method", "ring", "--offset", "1"], "--offset"),
+], ids=["entropy", "ancillary", "ancillary-offset"])
+def test_commands_without_side_chain_reject_S(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--out-dir", tmp_path / "out"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --S" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ctwalk import (
-    DegenerateNormalizationError,
     LindbladConfig,
+    NumericsError,
     SideChainConfig,
     TimeGrid,
     ValidationError,
@@ -194,7 +194,7 @@ def test_tiny_ring_recurs_before_reference_horizon(nine_chain, reference_nine, s
 
 def test_constant_sigma_is_degenerate():
     grid = TimeGrid.from_span(2.0, 0.01)
-    with pytest.raises(DegenerateNormalizationError):
+    with pytest.raises(NumericsError, match="complement probability never decays"):
         complement_flux(np.ones(grid.n), grid)
 
 

@@ -40,7 +40,8 @@ def _bindings(tracing):
 @pytest.mark.parametrize("walk,spans", [
     ("classical", ["classical.survival_horizon", "classical.vertex_occupations",
                    "first_passage.reconstruct", "first_passage.mean_fpt"]),
-    ("quantum", ["quantum.transition_probabilities", "first_passage.deconvolve",
+    ("quantum", ["quantum.transition_probabilities", "first_passage.extract_first_passage",
+                 "first_passage.deconvolve",
                  "first_passage.detect_tau0", "first_passage.reconstruct",
                  "first_passage.mean_fpt"]),
 ])
