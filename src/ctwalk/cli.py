@@ -5,11 +5,13 @@ fit), ancillary (sticky-tail and ring estimators vs the convolution
 result), montecarlo (ensemble sampling vs the convolution result), and
 entropy (coherence diagnostics).
 
-Exit codes: 0 success; 1 a NumericsError or a worker process that died; 2 a
-ValidationError or an unreadable path. Flags can be preloaded from a plain
-key=value file via --config; explicit flags win. A flag a run does not read
-is refused with exit code 2, from --config too: ancillary refuses the other
-method's flags, simulate --graph-file the chain model's.
+Exit codes: 0 success (--help included); 1 a NumericsError or a worker
+process that died; 2 a ValidationError, an argument the parser rejects or
+an unreadable path. Each failure prints "error: ..." as the first line on
+stderr. Flags can be preloaded from a plain key=value file via --config;
+explicit flags win. A flag a run does not read is refused with exit code 2,
+from --config too: ancillary refuses the other method's flags, simulate
+--graph-file the chain model's.
 """
 
 from __future__ import annotations
@@ -74,8 +76,15 @@ def _settle(args: argparse.Namespace, used: tuple, refused: tuple, context: str)
             setattr(args, dest, OPTIONAL[dest][1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections raise ValidationError, so main reports them."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctwalk",
         description="continuous-time walks on chains with switchable side vertices",
     )
@@ -185,9 +194,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         io.write_amplitude_series_csv(args.out_dir / "amplitudes.csv", amp, config)
         io.write_occupation_csv(args.out_dir / "occupations.csv", amp, config)
     elif args.full_series:
-        series = classical.evolve_master(model, start, grid)
-        io.write_probability_series_csv(args.out_dir / "occupations.csv", series, config)
-    t = grid.times
+        occupations = model.spectrum.lazy_series(start, tuple(range(1, g.n + 1)), grid)
+        io.write_columns_csv(
+            args.out_dir / "occupations.csv", ["t"] + [f"p{v}" for v in range(1, g.n + 1)],
+            [grid.lazy_times()] + [occupations.row(i) for i in range(g.n)], config,
+        )
+    t = grid.lazy_times()
     io.write_csvs(
         [(args.out_dir / f"P{start}{target}.csv", ["t", "P"], [t, result.p_ab]),
          (args.out_dir / f"P{target}{target}.csv", ["t", "P"], [t, result.p_bb]),
@@ -203,6 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "tau": result.tau,
         "norm": result.norm,
         "reconstruction_error": result.reconstruction_error,
+        "residual_kind": result.residual_kind,
     }
     io.write_json(args.out_dir / "result.json", payload, config)
     print(f"tau = {result.tau:.6f}  tau0 = {result.tau0:.6f}  -> {args.out_dir}")

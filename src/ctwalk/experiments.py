@@ -14,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,25 +25,27 @@ from .first_passage import (
     MAX_SOLVE_POINTS,
     FirstPassageResult,
     extract_first_passage,
-    first_passage_result,
-    solve_exp_sum,
+    modal_first_passage,
 )
 from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain_graph
-from .grid import Spectrum, TimeGrid
+from .grid import LazyRow, Spectrum, TimeGrid
 from .parallel import ordered_map
 
 MAX_HORIZON_DOUBLINGS = 8
 # names the solvers behind a cached record; change it whenever a solver
 # change moves outputs, so older cache entries are recomputed
-SOLVER_ID = "exp-sum+blocked-64-all-lengths"
+SOLVER_ID = "exp-sum-modal-bound+blocked-64-all-lengths"
 ENTROPY_S_VALUES = (0, 1, 2)
 # largest round-trip residual max|F * P_bb - P_ab| a run may return
-# (acceptance criterion 5); a solve that misses it fails instead
+# (acceptance criterion 5), measured on the grid (quantum) or bounded from
+# the modes (classical); a solve that misses it fails instead
 QUANTUM_RESIDUAL_MAX = 1e-4
 CLASSICAL_RESIDUAL_MAX = 1e-5
-# largest classical grid run_pipeline evaluates: 3.8x the N = 43, S = 2 grid
-# of 2,212,786 points. Peak RSS grows by about 102 B per point (that case
-# peaks at 244.5 MiB over a 29 MiB import floor), so about 0.83 GiB at the bound
+# largest classical grid run_pipeline sizes: 3.8x the N = 43, S = 2 grid of
+# 2,212,786 points. The classical series are evaluated block by block where
+# they are written, so memory does not grow with the grid; the bound caps
+# the CSV bytes (about 113 B per point over P_ab, P_bb and F, so 0.95 GB)
+# and the time to write them
 MAX_CLASSICAL_POINTS = 1 << 23
 
 
@@ -61,6 +63,7 @@ class SweepRecord:
     tau0: float
     norm: float
     reconstruction_error: float
+    residual_kind: str
 
 
 @dataclass(frozen=True)
@@ -102,19 +105,6 @@ def walk_model(g: Graph, walk: str) -> Spectrum | classical.RateMatrix:
     raise ValidationError(f"walk must be 'classical' or 'quantum', got {walk!r}")
 
 
-def _classical_tau0(F: np.ndarray, grid: TimeGrid, eps: float, t_eps: float) -> float:
-    """First grid time where the trapezoid survival mass 1 - int_0^t F is below eps.
-
-    The quadrature mass of the discrete F saturates ~1e-6 short of one at
-    dt = 0.01, so its own epsilon crossing can sit far beyond the true one;
-    when the grid ends above eps, the model's t_eps stands in.
-    """
-    mass = np.concatenate([[0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * grid.dt)])
-    if 1.0 - mass[-1] < eps:
-        return float(grid.times[np.nonzero(1.0 - mass < eps)[0][0]])
-    return t_eps
-
-
 def _gated(result: FirstPassageResult, residual_max: float) -> tuple[FirstPassageResult, TimeGrid]:
     """result and its grid, or NumericsError if its round-trip residual exceeds residual_max."""
     if not result.reconstruction_error <= residual_max:  # also catches nan
@@ -140,24 +130,24 @@ def run_pipeline(
     The classical F is the closed-form solve over the series' shared
     rates, with F(0) the exact hop rate, on one grid sized from the
     killed-walk survival function; its horizon is the F-mass crossing when
-    that happens on the grid, else the survival horizon. The quantum F is
-    deconvolved with F(0) = 0, on grids with dt (lambda_max - lambda_min)
-    < pi so that P(t) is not aliased and of at most MAX_SOLVE_POINTS
-    points; they start near the ballistic crossing time and double until
-    the zero of F is on the grid.
+    that happens on the grid, else the survival horizon. Its scalars and
+    residual bound come from the modes (modal_first_passage), and F, P_ab
+    and P_bb are LazyRows, evaluated only where they are read. The quantum
+    F is deconvolved with F(0) = 0, on grids with dt (lambda_max -
+    lambda_min) < pi so that P(t) is not aliased and of at most
+    MAX_SOLVE_POINTS points; they start near the ballistic crossing time
+    and double until the zero of F is on the grid.
 
-    Raises NumericsError when the round-trip residual exceeds
-    QUANTUM_RESIDUAL_MAX or CLASSICAL_RESIDUAL_MAX, and ValidationError
-    when a grid would exceed MAX_SOLVE_POINTS (quantum) or
-    MAX_CLASSICAL_POINTS (classical), before any series on it.
+    Raises NumericsError when the round-trip residual (for the classical
+    walk, its modal bound) exceeds QUANTUM_RESIDUAL_MAX or
+    CLASSICAL_RESIDUAL_MAX, and ValidationError when a grid would exceed
+    MAX_SOLVE_POINTS (quantum) or MAX_CLASSICAL_POINTS (classical), before
+    any series on it.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     if isinstance(model, classical.RateMatrix):
         rm = model
-        coefs = rm.spectrum.modes(target, (start, target))
-        balance = rm.degrees[target - 1] / rm.degrees[start - 1]
-        coefs[0] *= balance
         t_eps = classical.survival_horizon(rm, target, eps=eps, start=start)
         grid = TimeGrid.from_span(t_eps * 1.05 + 4.0, dt)
         if grid.n > MAX_CLASSICAL_POINTS:
@@ -165,13 +155,16 @@ def run_pipeline(
                 f"the classical grid of {grid.n} points exceeds the budget "
                 f"of {MAX_CLASSICAL_POINTS}; raise dt"
             )
-        p_ab, p_bb = classical.vertex_occupations(rm, target, (start, target), grid)
-        p_ab *= balance
+        occupations = rm.spectrum.lazy_series(target, (start, target), grid)
+        balance = rm.degrees[target - 1] / rm.degrees[start - 1]
+        coefs = occupations.coefs.copy()
+        coefs[0] *= balance
         # F(0) is the hop rate start -> target, exactly 0 unless they are adjacent
         f0 = float(rm.matrix[target - 1, start - 1])
-        F = solve_exp_sum(rm.spectrum.rates, coefs, grid, f0)
-        tau0 = _classical_tau0(F, grid, eps, t_eps)
-        return _gated(first_passage_result(p_ab, p_bb, F, grid, tau0), CLASSICAL_RESIDUAL_MAX)
+        result = modal_first_passage(rm.spectrum.rates, coefs, grid, f0, eps, t_eps)
+        p_ab = LazyRow(grid.n, lambda lo, hi: occupations.span(lo, hi, [0])[0] * balance)
+        result = replace(result, p_ab=p_ab, p_bb=occupations.row(1))
+        return _gated(result, CLASSICAL_RESIDUAL_MAX)
 
     # P(t) oscillates at the eigenvalue gaps of H; a grid that cannot
     # resolve the widest one solves an aliased series
@@ -216,6 +209,7 @@ def run_case(
         tau0=result.tau0,
         norm=result.norm,
         reconstruction_error=result.reconstruction_error,
+        residual_kind=result.residual_kind,
     )
 
 

@@ -184,6 +184,7 @@ def histogram_density_l1(
     the bin edges), so the result is a dimensionless total-variation-style
     distance.
     """
+    f_values = np.asarray(f_values, dtype=float)
     df = np.diff(f_times)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (f_values[1:] + f_values[:-1]) * df)])
     edges = hist.bin_edges

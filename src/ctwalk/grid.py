@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,10 @@ class TimeGrid:
         t = np.arange(self.n, dtype=float) * self.dt
         t.setflags(write=False)
         return t
+
+    def lazy_times(self) -> "LazyRow":
+        """times as a LazyRow: the same values, computed per span."""
+        return LazyRow(self.n, lambda lo, hi: np.arange(lo, hi) * self.dt)
 
     @property
     def t_end(self) -> float:
@@ -90,30 +95,87 @@ class Series:
         return self.values[:, v - 1]
 
 
-def blocked_sum(
-    coefs: np.ndarray, n: int, modes: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Rows sum_j coefs[i, j] m_j(k) for k = 0 .. n - 1; shape (len(coefs), n).
+class LazyRow:
+    """A series on n grid points, evaluated only over the spans sliced out of it.
+
+    span(lo, hi) returns the values at k = lo .. hi - 1. Slicing, indexing,
+    iteration and np.asarray evaluate what they ask for and keep nothing, so
+    a grid-length series costs no grid-length array until one is requested.
+    """
+
+    def __init__(self, n: int, span: Callable[[int, int], np.ndarray]) -> None:
+        self.n = n
+        self.span = span
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(self.n)
+            if step != 1:
+                return np.asarray(self)[key]
+            return self.span(lo, max(lo, hi))
+        k = operator.index(key)
+        if k < 0:
+            k += self.n
+        if not 0 <= k < self.n:
+            raise IndexError(f"index {key} out of range for {self.n} points")
+        return self.span(k, k + 1)[0]
+
+    def __iter__(self):
+        return iter(np.asarray(self))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.span(0, self.n), dtype=dtype)
+
+
+class ModeSum:
+    """Rows sum_j coefs[i, j] m_j(k) for k = 0 .. n - 1, evaluated block by block.
 
     modes(k) returns the (n_modes, len(k)) values m_j(k) of geometric modes,
     m_j(lo + k) = m_j(lo) m_j(k). One (n_modes, BLOCK) block is computed
-    once; each block of the output is that block rescaled by m_j(lo), taken
+    once; the output block at lo is that block rescaled by m_j(lo), taken
     directly rather than by repeated multiplication, in one vector-matrix
-    product per row. A row's bits therefore do not depend on which other
-    rows were requested.
+    product per row. A span is cut out of the BLOCK-aligned blocks that
+    cover it, each computed at its full width, so a value's bits depend
+    neither on the span asked for nor on which other rows were requested.
     """
-    block = modes(np.arange(min(BLOCK, n)))
-    out = np.empty((coefs.shape[0], n), dtype=np.result_type(coefs, block))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        scaled = coefs * modes(np.array([lo]))[:, 0]
-        for i in range(coefs.shape[0]):
-            np.matmul(scaled[i], block[:, :hi - lo], out=out[i, lo:hi])
-    return out
+
+    def __init__(
+        self, coefs: np.ndarray, n: int, modes: Callable[[np.ndarray], np.ndarray]
+    ) -> None:
+        self.coefs = coefs
+        self.n = n
+        self.modes = modes
+
+    @cached_property
+    def _block(self) -> np.ndarray:
+        return self.modes(np.arange(min(BLOCK, self.n)))
+
+    def span(self, lo: int, hi: int, rows: list[int] | None = None) -> np.ndarray:
+        """Rows (all, or those listed) at k = lo .. hi - 1; shape (len(rows), hi - lo)."""
+        coefs = self.coefs if rows is None else self.coefs[rows]
+        block = self._block
+        out = np.empty((coefs.shape[0], hi - lo), dtype=np.result_type(coefs, block))
+        for start in range(lo - lo % BLOCK, hi, BLOCK):
+            width = min(BLOCK, self.n - start)
+            a, b = max(lo, start), min(hi, start + width)
+            scaled = coefs * self.modes(np.array([start]))[:, 0]
+            for i in range(coefs.shape[0]):
+                if b - a == width:
+                    np.matmul(scaled[i], block[:, :width], out=out[i, a - lo:b - lo])
+                else:
+                    out[i, a - lo:b - lo] = (scaled[i] @ block[:, :width])[a - start:b - start]
+        return out
+
+    def row(self, i: int) -> LazyRow:
+        """Row i as a LazyRow."""
+        return LazyRow(self.n, lambda lo, hi: self.span(lo, hi, [i])[0])
 
 
-def exp_sum(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Rows sum_j coefs[i, j] exp(rates[j] t) on the grid; shape (len(coefs), grid.n).
+def exp_modes(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> ModeSum:
+    """Rows sum_j coefs[i, j] exp(rates[j] t) on the grid, unevaluated.
 
     The dtype follows rates and coefs: real decay rates give real series,
     imaginary phases complex amplitudes.
@@ -124,7 +186,12 @@ def exp_sum(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> np.ndarray:
         # in place: a fresh block-sized output costs more page faults than exps
         return np.exp(z, out=z)
 
-    return blocked_sum(coefs, grid.n, modes)
+    return ModeSum(coefs, grid.n, modes)
+
+
+def exp_sum(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Every row of exp_modes(rates, coefs, grid) on the grid; shape (len(coefs), grid.n)."""
+    return exp_modes(rates, coefs, grid).span(0, grid.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,3 +223,7 @@ class Spectrum:
     def series(self, start: int, targets: tuple[int, ...], grid: TimeGrid) -> np.ndarray:
         """The series at each target on the grid; shape (len(targets), grid.n)."""
         return exp_sum(self.rates, self.modes(start, targets), grid)
+
+    def lazy_series(self, start: int, targets: tuple[int, ...], grid: TimeGrid) -> ModeSum:
+        """The series at each target on the grid, unevaluated: rows of a ModeSum."""
+        return exp_modes(self.rates, self.modes(start, targets), grid)

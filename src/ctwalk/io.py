@@ -13,12 +13,14 @@ or exponent notation with numpy byte operations. Zeros, infinities, nans,
 values outside that range and values whose scaled fraction lies within
 1e-6 of a half, where the rounding is not certain, are formatted by "%"
 itself. write_csvs, the one block writer, writes one or more files
-together, and encodes a column array that several of them share, such as
-the time column of simulate's P_ab, P_bb and F series, once per block. The
-blocks are encoded by parallel.ordered_map, on every CPU in the affinity
-mask, and written in order, so the bytes do not depend on the worker count. On a 2-vCPU host
-simulate --walk classical --N 43 --S 2 writes its three files (249 MB) in
-about 1.2 s, and in 1.9 s on one CPU.
+together, and encodes a column that several of them share, such as the
+time column of simulate's P_ab, P_bb and F series, once per block. A
+column is anything that slices to an array; a grid.LazyRow is evaluated
+only block by block, where it is sliced. The blocks are encoded by
+parallel.ordered_map, on every CPU in the affinity mask, and written in
+order, so the bytes do not depend on the worker count. On a 2-vCPU host
+simulate --walk classical --N 43 --S 2 evaluates and writes its three
+files (249 MB) in about 1.9 s, on two CPUs or one.
 """
 
 from __future__ import annotations

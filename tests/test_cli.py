@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from ctwalk import (
 from ctwalk.cli import main
 from ctwalk.experiments import MAX_CLASSICAL_POINTS
 from ctwalk.first_passage import MAX_SOLVE_POINTS
+from ctwalk.grid import ModeSum
 from ctwalk.io import config_line, fmt
 
 
@@ -70,13 +72,15 @@ def test_simulate_series_files_match_per_cell_format(tmp_path, walk):
 @pytest.mark.parametrize("walk", ["classical", "quantum"])
 @pytest.mark.parametrize("residual", [16.8, float("nan")])
 def test_simulate_bad_residual_exits_1(tmp_path, capsys, monkeypatch, walk, residual):
-    # both walks take their round-trip residual from reconstruct
-    solved = first_passage.reconstruct
+    # the classical walk bounds its residual from the modes, the quantum walk
+    # measures it by reconstruct
+    check = {"classical": "modal_residual", "quantum": "reconstruct"}[walk]
+    solved = getattr(first_passage, check)
 
     def planted(*args):
         return solved(*args) + residual
 
-    monkeypatch.setattr(first_passage, "reconstruct", planted)
+    monkeypatch.setattr(first_passage, check, planted)
     code = run(["simulate", "--N", 5, "--walk", walk, "--out-dir", tmp_path / "out"])
     err = capsys.readouterr().err
     assert code == 1
@@ -89,6 +93,37 @@ def test_simulate_rejects_short_chain(tmp_path, capsys):
     code = run(["simulate", "--N", 1, "--out-dir", tmp_path])
     assert code == 2
     assert "N must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("walk,kind", [("classical", "modal_bound"), ("quantum", "round_trip")])
+def test_result_names_its_residual(tmp_path, walk, kind):
+    assert run(["simulate", "--N", 5, "--walk", walk, "--out-dir", tmp_path]) == 0
+    doc = json.loads((tmp_path / "result.json").read_text())
+    assert doc["residual_kind"] == kind
+    assert 0.0 < doc["reconstruction_error"] < 1e-10
+
+
+def test_classical_simulate_holds_no_grid_length_array(tmp_path, monkeypatch):
+    """Halving dt at N = 21 doubles the grid of a classical simulate, not its peak memory.
+
+    An array of a quarter of the grid's length or more would raise the
+    tracemalloc peak by at least 2 bytes per added grid point.
+    """
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # every CSV block in this process
+    monkeypatch.setattr(io, "BLOCK_CELLS", 1 << 14)  # small blocks, so the peak is mostly not theirs
+    peaks, points = [], []
+    for dt in (0.02, 0.01):
+        out = tmp_path / f"dt{dt}"
+        tracemalloc.start()
+        try:
+            assert run(["simulate", "--walk", "classical", "--N", 21, "--S", 2,
+                        "--dt", dt, "--out-dir", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        points.append(sum(1 for _ in open(out / "F.csv")) - 2)
+    assert points[1] > 1.9 * points[0]
+    assert peaks[1] - peaks[0] < 2 * (points[1] - points[0])
 
 
 def test_simulate_two_path_classical_mean(tmp_path):
@@ -238,9 +273,10 @@ def test_oversized_quantum_grid_exits_2_before_any_series(tmp_path, capsys, monk
 def test_oversized_classical_grid_exits_2_before_any_series(tmp_path, capsys, monkeypatch):
     # dt = 1e-3 puts the N = 43 horizon, about 2.1e4, on over 2.1e7 points
     def unreachable(*args):
-        raise AssertionError("series evaluated on an over-budget grid")
+        raise AssertionError("series solved or evaluated on an over-budget grid")
 
-    monkeypatch.setattr(experiments.classical, "vertex_occupations", unreachable)
+    monkeypatch.setattr(first_passage, "solve_exp_sum", unreachable)
+    monkeypatch.setattr(ModeSum, "span", unreachable)
     code = run(["simulate", "--walk", "classical", "--N", 43, "--dt", "1e-3",
                 "--out-dir", tmp_path / "out"])
     err = capsys.readouterr().err
@@ -407,11 +443,30 @@ def test_ancillary_notes_recurrence_inside_reference_horizon(tmp_path, capsys):
     (["ancillary", "--method", "ring", "--offset", "1"], "--offset"),
 ], ids=["entropy", "ancillary", "ancillary-offset"])
 def test_commands_without_side_chain_reject_S(tmp_path, capsys, argv, flag):
-    with pytest.raises(SystemExit) as exc:
-        run(argv + ["--out-dir", tmp_path / "out"])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    code = run(argv + ["--out-dir", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"error: unrecognized arguments: {flag}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["simulate", "--walk", "bogus"], "error: argument --walk: invalid choice: 'bogus'"),
+    (["simulate", "--N", "nine"], "error: argument --N: invalid int value: 'nine'"),
+    (["ancillary", "--N", "9"], "error: the following arguments are required: --method"),
+    (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
+], ids=["choice", "type", "required", "command"])
+def test_parser_rejections_take_the_error_path(tmp_path, capsys, argv, first_line):
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith(first_line)
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ctwalk simulate")
 
 
 def test_ancillary_rejects_negative_rate(tmp_path, capsys):

@@ -105,8 +105,8 @@ def test_entropy_study_diagonalizes_each_graph_once(eigh_calls):
 
 @pytest.mark.parametrize("walk,sizes", [
     ("quantum", [9]),
-    # the spectrum, the killed-walk block and the rank-one update of the solve
-    ("classical", [9, 8, 9]),
+    # the killed-walk block, the spectrum and the rank-one update of the solve
+    ("classical", [8, 9, 9]),
 ])
 def test_full_series_reuses_the_pipeline_spectrum(eigh_calls, tmp_path, walk, sizes):
     code = main(["simulate", "--N", "9", "--walk", walk, "--full-series",
@@ -217,6 +217,19 @@ def test_cache_recomputes_entry_for_another_request(tmp_path, field, value):
     text = entry.read_text()
     entry.write_text(json.dumps({**json.loads(text), field: value, "tau": 1.0}))
     assert cached_run_case(3, 0, 0, "quantum", cache_dir=tmp_path) == fresh
+    assert entry.read_text() == text
+
+
+def test_cache_recomputes_entry_of_another_solver(tmp_path):
+    """A classical entry written by the solver before the modal bound is never served."""
+    fresh = cached_run_case(3, 0, 0, "classical", cache_dir=tmp_path)
+    assert fresh.residual_kind == "modal_bound"
+    (entry,) = tmp_path.glob("*.json")
+    text = entry.read_text()
+    stale = {**json.loads(text), "solver": "exp-sum+blocked-64-all-lengths",
+             "reconstruction_error": 1.6e-14, "residual_kind": "round_trip"}
+    entry.write_text(json.dumps(stale))
+    assert cached_run_case(3, 0, 0, "classical", cache_dir=tmp_path) == fresh
     assert entry.read_text() == text
 
 

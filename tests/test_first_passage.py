@@ -344,20 +344,50 @@ def test_exact_solve_star_leaf_to_leaf():
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("s", [0, 1, 2])
-def test_classical_pipeline_matches_forward_substitution(monkeypatch, n, s):
+def test_classical_pipeline_matches_forward_substitution(n, s):
+    """The modal horizon and mean equal grid quadrature of the forward-substitution F."""
     # dt = 0.02 keeps the O(T^2) reference under 9,000 points
-    dt = 0.02
+    dt, eps = 0.02, 1e-6
     rm = build_rate_matrix(build_side_chain_graph(SideChainConfig(N=n, S=s, offset=0)))
-    exact, _ = experiments.run_pipeline(rm, n, dt, 1e-6)
-
-    def direct(rates, coefs, grid, f0):
-        return forward_substitution(*exp_sum(rates, coefs, grid), grid.dt, f0)
-
-    monkeypatch.setattr(experiments, "solve_exp_sum", direct)
-    ref, _ = experiments.run_pipeline(rm, n, dt, 1e-6)
+    exact, grid = experiments.run_pipeline(rm, n, dt, eps)
+    coefs = rm.spectrum.modes(n, (1, n))
+    coefs[0] *= rm.degrees[n - 1] / rm.degrees[0]
+    f = forward_substitution(*exp_sum(rm.spectrum.rates, coefs, grid), dt, rm.matrix[n - 1, 0])
+    mass = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * dt)])
+    crossed = np.nonzero(1.0 - mass < eps)[0]
+    assert len(crossed) > 0
+    ref = mean_fpt(f, grid, grid.times[crossed[0]])
     assert exact.tau == pytest.approx(ref.tau, rel=1e-10, abs=0.0)
     assert exact.norm == pytest.approx(ref.norm, rel=1e-10, abs=0.0)
     assert exact.tau0 == ref.tau0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_classical_fallback_mean_matches_grid_quadrature(monkeypatch, n):
+    """A survival horizon short of the F-mass crossing, between grid points, is tau0 itself."""
+    monkeypatch.setattr(experiments.classical, "survival_horizon", lambda *a, **k: 5.003)
+    rm = build_rate_matrix(build_side_chain_graph(SideChainConfig(N=n, S=1, offset=0)))
+    exact, grid = experiments.run_pipeline(rm, n, 0.02, 1e-6)
+    assert exact.tau0 == 5.003
+    ref = mean_fpt(np.asarray(exact.F), grid, 5.003)  # interpolates F at 5.003
+    assert exact.tau == pytest.approx(ref.tau, rel=1e-12, abs=0.0)
+    assert exact.norm == pytest.approx(ref.norm, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 21, 43])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_modal_bound_covers_the_round_trip_residual(n, s):
+    """The classical residual is a bound: at least what reconstruct measures on the grid.
+
+    N = 3, S = 1, N = 21, S = 2 and N = 43, S = 1 have rates that must be
+    deflated for the bound to be usable.
+    """
+    rm = build_rate_matrix(build_side_chain_graph(SideChainConfig(N=n, S=s, offset=0)))
+    result, grid = experiments.run_pipeline(rm, n, DT, 1e-6)
+    assert result.residual_kind == "modal_bound"
+    p_ab, p_bb = np.asarray(result.p_ab), np.asarray(result.p_bb)
+    measured = np.max(np.abs(reconstruct(np.asarray(result.F), p_bb, grid) - p_ab))
+    assert measured <= result.reconstruction_error <= 1e-10
 
 
 def test_classical_pipeline_uses_exact_hop_rate():
