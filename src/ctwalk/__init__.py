@@ -41,7 +41,6 @@ from .first_passage import (
     deconvolve,
     detect_tau0,
     extract_first_passage,
-    first_passage_result,
     mean_fpt,
     reconstruct,
 )
@@ -62,7 +61,7 @@ from .graphs import (
     path_graph,
     to_edge_list_text,
 )
-from .grid import Series, Spectrum, TimeGrid
+from .grid import Spectrum, TimeGrid
 from .open_quantum import (
     AncillaryFirstPassage,
     DensityMatrixSeries,

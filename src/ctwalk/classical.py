@@ -7,6 +7,9 @@ waiting time at any vertex is exponential with mean one.
 Propagation is spectral (no step-size error): K is similar to the symmetric
 matrix S = D^{-1/2} J D^{-1/2} - I via the degree diagonal D, and the
 eigenpairs of S, computed once per rate matrix, are the walk's Spectrum.
+evolve_master returns every vertex's occupation as a row of a grid.ModeSum,
+evaluated only where it is read, even on horizons of millions of points;
+vertex_occupations evaluates the rows of selected vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
-from .grid import Series, Spectrum, TimeGrid
+from .grid import ModeSum, Spectrum, TimeGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,24 +60,16 @@ def build_rate_matrix(g: Graph) -> RateMatrix:
     return RateMatrix(matrix=k, adjacency=j, degrees=deg)
 
 
-def evolve_master(rm: RateMatrix, start: int, grid: TimeGrid) -> Series:
-    """p(t) = exp(K t) delta_start on every grid point.
-
-    Returns the full (n_times, n) array; for long horizons where only a few
-    vertices matter use vertex_occupations instead.
-    """
-    return Series(grid, rm.spectrum.series(start, tuple(range(1, rm.n + 1)), grid).T)
+def evolve_master(rm: RateMatrix, start: int, grid: TimeGrid) -> ModeSum:
+    """p(t) = exp(K t) delta_start on the grid, unevaluated: row v - 1 is vertex v."""
+    return rm.spectrum.series(start, tuple(range(1, rm.n + 1)), grid)
 
 
 def vertex_occupations(
     rm: RateMatrix, start: int, targets: tuple[int, ...], grid: TimeGrid
 ) -> np.ndarray:
-    """Occupation probabilities of selected vertices only; shape (len(targets), n_times).
-
-    Memory stays O(n_times) per requested vertex, which matters for the long
-    classical horizons (millions of grid points).
-    """
-    return rm.spectrum.series(start, targets, grid)
+    """Occupation probabilities of selected vertices only; shape (len(targets), n_times)."""
+    return rm.spectrum.series(start, targets, grid).span(0, grid.n)
 
 
 def stationary_distribution(rm: RateMatrix) -> np.ndarray:

@@ -191,14 +191,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.full_series and args.walk == "quantum":
         amp = quantum.evolve_schrodinger(model, start, grid)
-        io.write_amplitude_series_csv(args.out_dir / "amplitudes.csv", amp, config)
-        io.write_occupation_csv(args.out_dir / "occupations.csv", amp, config)
+        io.write_amplitude_series_csv(args.out_dir / "amplitudes.csv", amp, grid, config)
+        io.write_occupation_csv(args.out_dir / "occupations.csv", amp, grid, config)
     elif args.full_series:
-        occupations = model.spectrum.lazy_series(start, tuple(range(1, g.n + 1)), grid)
-        io.write_columns_csv(
-            args.out_dir / "occupations.csv", ["t"] + [f"p{v}" for v in range(1, g.n + 1)],
-            [grid.lazy_times()] + [occupations.row(i) for i in range(g.n)], config,
-        )
+        occ = classical.evolve_master(model, start, grid)
+        io.write_probability_series_csv(args.out_dir / "occupations.csv", occ, grid, config)
     t = grid.lazy_times()
     io.write_csvs(
         [(args.out_dir / f"P{start}{target}.csv", ["t", "P"], [t, result.p_ab]),
@@ -244,6 +241,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir if args.cache_dir is not None else args.out_dir / "cache"
     ns = _parse_range(args.N_range)
     s_values = sorted({_int(x, "--S-set") for x in args.S_set.split(",") if x.strip() != ""})
+    if not s_values:
+        raise ValidationError(f"--S-set names no side-chain length, got {args.S_set!r}")
     config = {"walk": args.walk, "N_range": args.N_range, "S_set": args.S_set,
               "offset": args.offset, "dt": args.dt, "epsilon": args.epsilon}
     records = experiments.sweep(
@@ -397,14 +396,15 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _inject_config_defaults(argv: list[str]) -> list[str]:
-    """Expand --config FILE into leading key=value flags after the subcommand."""
-    if "--config" not in argv:
+    """Expand --config FILE, spelled any way the parser accepts, into key=value flags
+    right after the subcommand, so explicit flags (later) win."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config", type=Path)
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValidationError("--config needs a file argument")
     injected: list[str] = []
-    for raw in Path(argv[idx + 1]).read_text().splitlines():
+    for raw in path.read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -413,7 +413,6 @@ def _inject_config_defaults(argv: list[str]) -> list[str]:
         key, value = line.split("=", 1)
         flag = "--" + key.strip().replace("_", "-")
         injected += [flag, value.strip()]
-    # insert right after the subcommand so explicit flags (later) win
     return argv[:1] + injected + argv[1:]
 
 

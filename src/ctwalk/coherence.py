@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import ColorAssignment
-from .grid import Series, TimeGrid
+from .grid import TimeGrid
 
 
 def reduce_density(psi: np.ndarray, coloring: ColorAssignment) -> np.ndarray:
@@ -48,17 +48,17 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def entropy_series(series: Series, coloring: ColorAssignment) -> np.ndarray:
+def entropy_series(psi: np.ndarray, coloring: ColorAssignment) -> np.ndarray:
     """von Neumann entropy of the class reduction at every grid point.
 
-    Uses the closed form for 2x2 eigenvalues, (1 +- d)/2 with
+    psi holds the amplitudes with shape (n_times, n). Uses the closed form
+    for 2x2 eigenvalues, (1 +- d)/2 with
     d = sqrt((rho_11 - rho_22)^2 + 4 |rho_12|^2), vectorized over time.
     """
-    if series.values.shape[1] != len(coloring.colors):
+    if psi.shape[1] != len(coloring.colors):
         raise ValidationError("series dimension does not match coloring size")
     idx1 = coloring.class_indices(1)
     idx2 = coloring.class_indices(2)
-    psi = series.values  # (n_times, n)
     r11 = (np.abs(psi[:, idx1]) ** 2).sum(axis=1)
     r22 = (np.abs(psi[:, idx2]) ** 2).sum(axis=1)
     r12 = psi[:, idx1].sum(axis=1) * np.conj(psi[:, idx2].sum(axis=1))

@@ -28,7 +28,7 @@ from .first_passage import (
     modal_first_passage,
 )
 from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain_graph
-from .grid import LazyRow, Spectrum, TimeGrid
+from .grid import Spectrum, TimeGrid
 from .parallel import ordered_map
 
 MAX_HORIZON_DOUBLINGS = 8
@@ -155,14 +155,14 @@ def run_pipeline(
                 f"the classical grid of {grid.n} points exceeds the budget "
                 f"of {MAX_CLASSICAL_POINTS}; raise dt"
             )
-        occupations = rm.spectrum.lazy_series(target, (start, target), grid)
+        occupations = rm.spectrum.series(target, (start, target), grid)
         balance = rm.degrees[target - 1] / rm.degrees[start - 1]
         coefs = occupations.coefs.copy()
         coefs[0] *= balance
         # F(0) is the hop rate start -> target, exactly 0 unless they are adjacent
         f0 = float(rm.matrix[target - 1, start - 1])
         result = modal_first_passage(rm.spectrum.rates, coefs, grid, f0, eps, t_eps)
-        p_ab = LazyRow(grid.n, lambda lo, hi: occupations.span(lo, hi, [0])[0] * balance)
+        p_ab = occupations.row(0, lambda p: p * balance)
         result = replace(result, p_ab=p_ab, p_bb=occupations.row(1))
         return _gated(result, CLASSICAL_RESIDUAL_MAX)
 
@@ -397,7 +397,8 @@ def entropy_study(
         h = quantum.spectrum(g)
         result, _ = run_pipeline(h, n, dt, eps)
         grid = TimeGrid.from_span(result.tau0, dt)
-        amp = quantum.evolve_schrodinger(h, 1, grid)
+        # evaluated here, so the ModeSum and its cached block are freed first
+        amp = quantum.evolve_schrodinger(h, 1, grid).span(0, grid.n).T
         series = coherence.entropy_series(amp, bipartite_coloring(g))
         avg = coherence.average_entropy(series, grid, result.tau0)
         cases[s] = EntropyCase(

@@ -201,13 +201,7 @@ class ModalDensity(LazyRow):
         itself with F linearly interpolated there when it falls between two.
         """
         dt = self.grid.dt
-        if not (0.0 < horizon <= self.grid.t_end + 1e-12):
-            raise ValidationError(f"horizon {horizon} outside grid span (0, {self.grid.t_end}]")
-        k = int((horizon + 1e-12) / dt)  # the last grid point up to the horizon
-        while (k + 1) * dt <= horizon + 1e-12:
-            k += 1
-        while k * dt > horizon + 1e-12:
-            k -= 1
+        k = self.grid.last_index(horizon)
         mass, moment = self.moments(k)
         t_k = k * dt
         if t_k < horizon:
@@ -366,21 +360,14 @@ def mean_fpt(F: np.ndarray, grid: TimeGrid, tau0: float) -> FirstPassageResult:
     return FirstPassageResult(grid=grid, F=F, tau0=float(tau0), tau=tau, norm=norm)
 
 
-def first_passage_result(
-    p_ab: np.ndarray, p_bb: np.ndarray, F: np.ndarray, grid: TimeGrid, tau0: float
-) -> FirstPassageResult:
-    """Mean on [0, tau0] and round-trip residual of a solved F, with its series."""
-    result = mean_fpt(F, grid, tau0)
-    residual = float(np.max(np.abs(reconstruct(F, p_bb, grid) - p_ab)))
-    return replace(result, reconstruction_error=residual, p_ab=p_ab, p_bb=p_bb)
-
-
 def extract_first_passage(
     p_ab: np.ndarray, p_bb: np.ndarray, grid: TimeGrid, f0: float
 ) -> FirstPassageResult:
     """Quantum deconvolve -> tau0 -> mean pipeline with a round-trip residual."""
     F = deconvolve(p_ab, p_bb, grid, f0)
-    return first_passage_result(p_ab, p_bb, F, grid, detect_tau0(F, grid))
+    result = mean_fpt(F, grid, detect_tau0(F, grid))
+    residual = float(np.max(np.abs(reconstruct(F, p_bb, grid) - p_ab)))
+    return replace(result, reconstruction_error=residual, p_ab=p_ab, p_bb=p_bb)
 
 
 def modal_first_passage(

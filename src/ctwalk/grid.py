@@ -1,8 +1,13 @@
-"""Uniform time grids, quadrature to a horizon, blocked mode sums, walk spectra and series.
+"""Uniform time grids, quadrature to a horizon, blocked mode sums and walk spectra.
 
 All dynamical quantities in this package live on a uniform grid starting
 at t = 0. Time is measured in units of the inverse hop rate (classical)
 or hbar over the hop amplitude (quantum); both are set to 1.
+
+Every series of a walk is a row of a ModeSum, an exponential sum over the
+walk's Spectrum evaluated block by block only where it is read: span()
+evaluates rows over a range of grid indices, and row() gives one row, or a
+part of it such as its squared modulus, as a LazyRow.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
-import operator
 from typing import Callable
 
 import numpy as np
@@ -59,48 +63,44 @@ class TimeGrid:
     def t_end(self) -> float:
         return (self.n - 1) * self.dt
 
+    def last_index(self, horizon: float) -> int:
+        """Index of the last grid point up to the horizon, within 1e-12 of it.
+
+        Raises ValidationError unless the horizon lies in (0, t_end].
+        """
+        if not (0.0 < horizon <= self.t_end + 1e-12):
+            raise ValidationError(f"horizon {horizon} outside grid span (0, {self.t_end}]")
+        bound = horizon + 1e-12
+        k = min(int(bound / self.dt), self.n - 1)
+        while k + 1 < self.n and (k + 1) * self.dt <= bound:
+            k += 1
+        while k * self.dt > bound:
+            k -= 1
+        return k
+
     def up_to(self, y: np.ndarray, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         """Abscissae and samples of y on [0, horizon] for trapezoid quadrature.
 
         The grid points up to the horizon, then the horizon itself with y
         linearly interpolated there when it falls between two points.
         """
-        if not (0.0 < horizon <= self.t_end + 1e-12):
-            raise ValidationError(f"horizon {horizon} outside grid span (0, {self.t_end}]")
+        k = self.last_index(horizon)
         t = self.times
-        mask = t <= horizon + 1e-12
-        tt, yy = t[mask], y[mask]
+        # copies: with views the quantum sweep's peak RSS rose 1.8 MB (heap layout)
+        tt, yy = t[:k + 1].copy(), y[:k + 1].copy()
         if tt[-1] < horizon:
             tt = np.append(tt, horizon)
             yy = np.append(yy, np.interp(horizon, t, y))
         return tt, yy
 
 
-@dataclass(frozen=True, eq=False)
-class Series:
-    """A walk's per-vertex series over a uniform grid; values has shape (n_times, n).
-
-    Occupation probabilities for the classical walk, complex amplitudes for
-    the quantum walk.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def vertex(self, v: int) -> np.ndarray:
-        """The series at vertex v, 1-indexed."""
-        n = self.values.shape[1]
-        if not (1 <= v <= n):
-            raise ValidationError(f"vertex {v} out of range 1..{n}")
-        return self.values[:, v - 1]
-
-
 class LazyRow:
     """A series on n grid points, evaluated only over the spans sliced out of it.
 
-    span(lo, hi) returns the values at k = lo .. hi - 1. Slicing, indexing,
-    iteration and np.asarray evaluate what they ask for and keep nothing, so
-    a grid-length series costs no grid-length array until one is requested.
+    span(lo, hi) returns the values at k = lo .. hi - 1. A step-1 slice
+    evaluates that span and np.asarray the whole row, and neither keeps
+    what it evaluated, so a grid-length series costs no grid-length array
+    until one is requested.
     """
 
     def __init__(self, n: int, span: Callable[[int, int], np.ndarray]) -> None:
@@ -110,21 +110,11 @@ class LazyRow:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            lo, hi, step = key.indices(self.n)
-            if step != 1:
-                return np.asarray(self)[key]
-            return self.span(lo, max(lo, hi))
-        k = operator.index(key)
-        if k < 0:
-            k += self.n
-        if not 0 <= k < self.n:
-            raise IndexError(f"index {key} out of range for {self.n} points")
-        return self.span(k, k + 1)[0]
-
-    def __iter__(self):
-        return iter(np.asarray(self))
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError(f"a LazyRow takes only step-1 slices, got {key!r}")
+        lo, hi, _ = key.indices(self.n)
+        return self.span(lo, max(lo, hi))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self.span(0, self.n), dtype=dtype)
@@ -169,9 +159,14 @@ class ModeSum:
                     out[i, a - lo:b - lo] = (scaled[i] @ block[:, :width])[a - start:b - start]
         return out
 
-    def row(self, i: int) -> LazyRow:
-        """Row i as a LazyRow."""
-        return LazyRow(self.n, lambda lo, hi: self.span(lo, hi, [i])[0])
+    def row(self, i: int, part: Callable[[np.ndarray], np.ndarray] | None = None) -> LazyRow:
+        """Row i as a LazyRow; part, when given, maps each evaluated span (np.real, say)."""
+
+        def span(lo: int, hi: int) -> np.ndarray:
+            values = self.span(lo, hi, [i])[0]
+            return values if part is None else part(values)
+
+        return LazyRow(self.n, span)
 
 
 def exp_modes(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> ModeSum:
@@ -187,11 +182,6 @@ def exp_modes(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> ModeSum:
         return np.exp(z, out=z)
 
     return ModeSum(coefs, grid.n, modes)
-
-
-def exp_sum(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Every row of exp_modes(rates, coefs, grid) on the grid; shape (len(coefs), grid.n)."""
-    return exp_modes(rates, coefs, grid).span(0, grid.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +210,6 @@ class Spectrum:
         idx = np.array(targets, dtype=int) - 1
         return self.scale[idx, None] * self.vectors[idx, :] * w
 
-    def series(self, start: int, targets: tuple[int, ...], grid: TimeGrid) -> np.ndarray:
-        """The series at each target on the grid; shape (len(targets), grid.n)."""
-        return exp_sum(self.rates, self.modes(start, targets), grid)
-
-    def lazy_series(self, start: int, targets: tuple[int, ...], grid: TimeGrid) -> ModeSum:
-        """The series at each target on the grid, unevaluated: rows of a ModeSum."""
+    def series(self, start: int, targets: tuple[int, ...], grid: TimeGrid) -> ModeSum:
+        """The series at each target on the grid, unevaluated: row i is targets[i]."""
         return exp_modes(self.rates, self.modes(start, targets), grid)

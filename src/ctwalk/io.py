@@ -16,11 +16,13 @@ itself. write_csvs, the one block writer, writes one or more files
 together, and encodes a column that several of them share, such as the
 time column of simulate's P_ab, P_bb and F series, once per block. A
 column is anything that slices to an array; a grid.LazyRow is evaluated
-only block by block, where it is sliced. The blocks are encoded by
-parallel.ordered_map, on every CPU in the affinity mask, and written in
-order, so the bytes do not depend on the worker count. On a 2-vCPU host
-simulate --walk classical --N 43 --S 2 evaluates and writes its three
-files (249 MB) in about 1.9 s, on two CPUs or one.
+only block by block, where it is sliced. The three per-vertex writers own
+their file formats and write the rows of a walk's all-vertex grid.ModeSum
+as LazyRows, so no --full-series holds an (n_times, n) array. The blocks
+are encoded by parallel.ordered_map, on every CPU in the affinity mask,
+and written in order, so the bytes do not depend on the worker count. On
+a 2-vCPU host simulate --walk classical --N 43 --S 2 evaluates and writes
+its three files (249 MB) in about 1.9 s, on two CPUs or one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .grid import Series
+from .grid import ModeSum, TimeGrid
 from .parallel import ordered_map
 
 # Cells per encoding block: bounds the transient arrays and bytes of a
@@ -288,36 +290,34 @@ def write_columns_csv(
 
 
 def write_probability_series_csv(
-    path: str | Path, series: Series, config: Mapping[str, Any]
+    path: str | Path, series: ModeSum, grid: TimeGrid, config: Mapping[str, Any]
 ) -> None:
-    """Header t,p1,...,pn; one row per grid point."""
-    n = series.values.shape[1]
+    """Header t,p1,...,pn: row v - 1 of series as column pv, one row per grid point."""
+    n = series.coefs.shape[0]
     header = ["t"] + [f"p{v}" for v in range(1, n + 1)]
-    cols = [series.grid.times] + [series.values[:, v] for v in range(n)]
+    cols = [grid.lazy_times()] + [series.row(i) for i in range(n)]
     write_columns_csv(path, header, cols, config)
 
 
 def write_amplitude_series_csv(
-    path: str | Path, series: Series, config: Mapping[str, Any]
+    path: str | Path, series: ModeSum, grid: TimeGrid, config: Mapping[str, Any]
 ) -> None:
-    """Header t,re_psi1,im_psi1,...; one row per grid point."""
-    n = series.values.shape[1]
+    """Header t,re_psi1,im_psi1,...: the amplitude rows of series, one row per grid point."""
     header = ["t"]
-    cols: list[np.ndarray] = [series.grid.times]
-    for v in range(n):
-        header += [f"re_psi{v + 1}", f"im_psi{v + 1}"]
-        cols += [series.values[:, v].real, series.values[:, v].imag]
+    cols = [grid.lazy_times()]
+    for i in range(series.coefs.shape[0]):
+        header += [f"re_psi{i + 1}", f"im_psi{i + 1}"]
+        cols += [series.row(i, np.real), series.row(i, np.imag)]
     write_columns_csv(path, header, cols, config)
 
 
 def write_occupation_csv(
-    path: str | Path, series: Series, config: Mapping[str, Any]
+    path: str | Path, series: ModeSum, grid: TimeGrid, config: Mapping[str, Any]
 ) -> None:
-    """Header t,P1,...,Pn with occupation probabilities."""
-    n = series.values.shape[1]
+    """Header t,P1,...,Pn: the occupation probabilities |psi|^2 of the amplitude rows of series."""
+    n = series.coefs.shape[0]
     header = ["t"] + [f"P{v}" for v in range(1, n + 1)]
-    probs = np.abs(series.values) ** 2
-    cols = [series.grid.times] + [probs[:, v] for v in range(n)]
+    cols = [grid.lazy_times()] + [series.row(i, lambda z: np.abs(z) ** 2) for i in range(n)]
     write_columns_csv(path, header, cols, config)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .graphs import Graph, dress_with_ring
 from .grid import TimeGrid
-from .quantum import build_hamiltonian, evolve_schrodinger, spectrum
+from .quantum import build_hamiltonian, spectrum, transition_probabilities
 from .first_passage import detect_tau0
 
 SOLVER = "eig(H_eff) Taylor"
@@ -243,9 +243,7 @@ def ring_first_passage(
     g.check_vertex(target)
     g.check_vertex(start)
     dressed = dress_with_ring(g, target, ring_size)
-    amp = evolve_schrodinger(spectrum(dressed), start, grid)
-    idx = np.array(sigma_vertices, dtype=int) - 1
-    sigma = (np.abs(amp.values[:, idx]) ** 2).sum(axis=1)
+    sigma = transition_probabilities(spectrum(dressed), start, sigma_vertices, grid).sum(axis=0)
     return complement_flux(sigma, grid)
 
 

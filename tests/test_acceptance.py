@@ -322,10 +322,10 @@ def test_criterion_9_conservation(reference_f):
     rm = build_rate_matrix(g)
     grid = TimeGrid.from_span(60.0, 0.02)
     classical_dev = np.max(
-        np.abs(evolve_master(rm, 1, grid).values.sum(axis=1) - 1.0)
+        np.abs(evolve_master(rm, 1, grid).span(0, grid.n).sum(axis=0) - 1.0)
     )
-    amp = evolve_schrodinger(spectrum(g), 1, grid)
-    quantum_dev = np.max(np.abs((np.abs(amp.values) ** 2).sum(axis=1) - 1.0))
+    amp = evolve_schrodinger(spectrum(g), 1, grid).span(0, grid.n).T
+    quantum_dev = np.max(np.abs((np.abs(amp) ** 2).sum(axis=1) - 1.0))
 
     result9, _ = reference_f[9]
     sticky = attach_sticky_vertex(chain(9), 9)
@@ -338,7 +338,7 @@ def test_criterion_9_conservation(reference_f):
     reduced_dev = 0.0
     eig_floor = 0.0
     entropy_lo, entropy_hi = np.inf, -np.inf
-    for state in amp.values[:: max(1, grid.n // 60)]:
+    for state in amp[:: max(1, grid.n // 60)]:
         red = reduce_density(state, coloring)
         reduced_dev = max(
             reduced_dev,

@@ -64,7 +64,7 @@ def test_simulate_series_files_match_per_cell_format(tmp_path, walk):
     for name, header, series in (("P15.csv", "t,P", result.p_ab),
                                  ("P55.csv", "t,P", result.p_bb),
                                  ("F.csv", "t,F", result.F)):
-        rows = [f"{fmt(t)},{fmt(x)}" for t, x in zip(grid.times, series)]
+        rows = [f"{fmt(t)},{fmt(x)}" for t, x in zip(grid.times, np.asarray(series))]
         expected = "\n".join([config_line(config), header] + rows) + "\n"
         assert (tmp_path / name).read_text() == expected, name
 
@@ -184,6 +184,7 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["simulate", "--config", "{tmp}"],
     ["sweep", "--N-range", "a:b"],
     ["sweep", "--S-set", "x,y"],
+    ["sweep", "--S-set", ","],
     ["simulate", "--dt", "0"],
     ["simulate", "--dt", "nan"],
     ["montecarlo", "--n-traj", "0"],
@@ -205,7 +206,7 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["simulate", "--graph-file", "{tmp}/chain.txt", "--S", "0"],
     ["simulate", "--graph-file", "{tmp}/chain.txt", "--offset", "0"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
-        "S-set-not-int", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
+        "S-set-not-int", "S-set-empty", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
         "lambda-nan", "V-inf", "bin-width-nan", "t-cap-negative", "bin-width-tiny",
         "epsilon-nan", "epsilon-one", "dt-aliases-quantum", "ring-lambda", "ring-V",
         "ring-jump-direction", "ring-lambda-from-config", "sticky-M", "graph-file-N",
@@ -313,15 +314,18 @@ def test_simulate_full_series_flag(tmp_path):
     assert amp[1].startswith("t,re_psi1,im_psi1")
 
 
-def test_config_file_supplies_defaults_flags_win(tmp_path):
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+                         ids=["config-FILE", "config=FILE", "conf-FILE"])
+def test_config_file_supplies_defaults_flags_win(tmp_path, spelling):
     cfg = tmp_path / "run.conf"
     cfg.write_text("N=5\nwalk=classical\nS=1\n")
+    given = [a.format(cfg) for a in spelling]
     out1 = tmp_path / "a"
-    assert run(["simulate", "--config", cfg, "--out-dir", out1]) == 0
+    assert run(["simulate", *given, "--out-dir", out1]) == 0
     doc = json.loads((out1 / "result.json").read_text())
     assert doc["N"] == 5 and doc["walk"] == "classical" and doc["S"] == 1
     out2 = tmp_path / "b"
-    assert run(["simulate", "--config", cfg, "--S", 0, "--out-dir", out2]) == 0
+    assert run(["simulate", *given, "--S", 0, "--out-dir", out2]) == 0
     doc2 = json.loads((out2 / "result.json").read_text())
     assert doc2["S"] == 0 and doc2["N"] == 5
 

@@ -110,8 +110,8 @@ def test_clamping_handles_roundoff():
 def test_two_path_walk_stays_pure_under_reduction():
     """psi = (cos t, -i sin t) gives rho eigenvalues {1, 0}, so E is zero."""
     grid = TimeGrid.from_span(4.0, 0.01)
-    series = evolve_schrodinger(spectrum(path_graph(2)), 1, grid)
-    e = entropy_series(series, coloring_of(2))
+    psi = evolve_schrodinger(spectrum(path_graph(2)), 1, grid).span(0, grid.n).T
+    e = entropy_series(psi, coloring_of(2))
     assert np.max(np.abs(e)) < 1e-9
 
 
@@ -119,18 +119,19 @@ def test_entropy_series_matches_pointwise_route():
     g = build_side_chain_graph(SideChainConfig(N=9, S=2))
     c = bipartite_coloring(g)
     grid = TimeGrid.from_span(6.0, 0.05)
-    series = evolve_schrodinger(spectrum(g), 1, grid)
-    fast = entropy_series(series, c)
+    psi = evolve_schrodinger(spectrum(g), 1, grid).span(0, grid.n).T
+    fast = entropy_series(psi, c)
     slow = np.array(
-        [von_neumann_entropy(reduce_density(series.values[i], c)) for i in range(grid.n)]
+        [von_neumann_entropy(reduce_density(psi[i], c)) for i in range(grid.n)]
     )
     assert np.max(np.abs(fast - slow)) < 1e-9
 
 
 def test_entropy_starts_at_zero_for_localized_walker():
     g = build_side_chain_graph(SideChainConfig(N=9, S=1))
-    series = evolve_schrodinger(spectrum(g), 1, TimeGrid.from_span(2.0, 0.01))
-    e = entropy_series(series, bipartite_coloring(g))
+    grid = TimeGrid.from_span(2.0, 0.01)
+    psi = evolve_schrodinger(spectrum(g), 1, grid).span(0, grid.n).T
+    e = entropy_series(psi, bipartite_coloring(g))
     assert e[0] == pytest.approx(0.0, abs=1e-12)
     assert np.all((e >= 0.0) & (e <= 1.0))
 

@@ -23,7 +23,7 @@ from ctwalk import (
 )
 import ctwalk.experiments as experiments
 from ctwalk.first_passage import SOLVE_BLOCK, _fft_size, solve_exp_sum
-from ctwalk.grid import exp_sum
+from ctwalk.grid import exp_modes
 from ctwalk.quantum import spectrum
 
 DT = 0.01
@@ -162,7 +162,7 @@ def test_classical_two_path_horizon_is_log_eps():
 def test_classical_horizon_is_the_mass_crossing_on_the_grid():
     rm = build_rate_matrix(build_side_chain_graph(SideChainConfig(N=9, S=2, offset=0)))
     result, grid = experiments.run_pipeline(rm, 9, DT, 1e-6)
-    f = result.F
+    f = np.asarray(result.F)
     mass = DT * (np.cumsum(f) - 0.5 * (f[0] + f))  # trapezoid, summed independently
     crossed = np.nonzero(1.0 - mass < 1e-6)[0]
     assert len(crossed) > 0
@@ -176,7 +176,7 @@ def test_classical_horizon_falls_back_to_the_survival_horizon(monkeypatch):
     rm = build_rate_matrix(build_side_chain_graph(SideChainConfig(N=9, S=2, offset=0)))
     result, grid = experiments.run_pipeline(rm, 9, DT, 1e-6)
     assert grid.t_end == pytest.approx(5.0 * 1.05 + 4.0, abs=DT)
-    f = result.F
+    f = np.asarray(result.F)
     assert 1.0 - DT * (np.sum(f) - 0.5 * (f[0] + f[-1])) > 1e-6
     assert result.tau0 == 5.0
 
@@ -295,7 +295,7 @@ def exact_and_direct(g, start, target, grid):
     rates, coefs = rm.spectrum.rates, rm.spectrum.modes(target, (start, target))
     coefs[0] *= balance
     f0 = rm.matrix[target - 1, start - 1]
-    p_ab, p_bb = exp_sum(rates, coefs, grid)
+    p_ab, p_bb = exp_modes(rates, coefs, grid).span(0, grid.n)
     f_exact = solve_exp_sum(rates, coefs, grid, f0)
     f_direct = forward_substitution(p_ab, p_bb, grid.dt, f0)
     return f_exact, f_direct, np.abs(coefs[0]).sum() / grid.dt
@@ -331,14 +331,14 @@ def test_exact_solve_matches_forward_substitution(case):
 def test_exact_solve_adjacent_pair_keeps_hop_rate():
     g = build_side_chain_graph(SideChainConfig(N=5, S=2, offset=0))
     f_exact, f_direct, modal = exact_and_direct(g, 4, 5, TimeGrid(dt=0.01, n=3000))
-    assert f_exact[0] == 0.5
+    assert f_exact.at(0) == 0.5
     assert_same_solution(f_exact, f_direct, modal)
 
 
 def test_exact_solve_star_leaf_to_leaf():
     """Five equal rates and modes with zero weight on the target."""
     f_exact, f_direct, modal = exact_and_direct(star_graph(7), 2, 7, TimeGrid(dt=0.05, n=3000))
-    assert f_exact[0] == 0.0
+    assert f_exact.at(0) == 0.0
     assert_same_solution(f_exact, f_direct, modal)
 
 
@@ -352,7 +352,8 @@ def test_classical_pipeline_matches_forward_substitution(n, s):
     exact, grid = experiments.run_pipeline(rm, n, dt, eps)
     coefs = rm.spectrum.modes(n, (1, n))
     coefs[0] *= rm.degrees[n - 1] / rm.degrees[0]
-    f = forward_substitution(*exp_sum(rm.spectrum.rates, coefs, grid), dt, rm.matrix[n - 1, 0])
+    p_ab, p_bb = exp_modes(rm.spectrum.rates, coefs, grid).span(0, grid.n)
+    f = forward_substitution(p_ab, p_bb, dt, rm.matrix[n - 1, 0])
     mass = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * dt)])
     crossed = np.nonzero(1.0 - mass < eps)[0]
     assert len(crossed) > 0
@@ -395,7 +396,7 @@ def test_classical_pipeline_uses_exact_hop_rate():
     g = star_graph(7)
     result, _ = experiments.run_pipeline(build_rate_matrix(g), 7, 0.2, 1e-6)
     oracle = mfpt_linear_solve(g, 1, 7)
-    assert result.F[0] == 1.0 / 6.0
+    assert result.F.at(0) == 1.0 / 6.0
     assert abs(result.tau - oracle) / oracle < 0.003
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ctwalk import TimeGrid
+from ctwalk import TimeGrid, ValidationError
 import ctwalk.grid as grid_mod
-from ctwalk.grid import ModeSum, exp_sum
+from ctwalk.grid import ModeSum, exp_modes
 
 SMALL_BLOCK = 8
 SIZES = [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 1]
@@ -44,7 +44,7 @@ def test_blocked_exponentials_match_per_mode_sum(small_block, n, rates):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.allclose(got, want, rtol=0.0, atol=1e-13)
     if n >= 2:
-        assert np.array_equal(exp_sum(rates, COEFS, TimeGrid(dt=dt, n=n)), got)
+        assert np.array_equal(exp_modes(rates, COEFS, TimeGrid(dt=dt, n=n)).span(0, n), got)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -56,17 +56,18 @@ def test_blocked_powers_match_per_mode_sum(small_block, n):
 @pytest.mark.parametrize("rates", [REAL_RATES, PHASES], ids=["real", "complex"])
 def test_row_bits_do_not_depend_on_other_rows(small_block, rates):
     grid = TimeGrid(dt=0.01, n=3 * SMALL_BLOCK + 1)
-    together = exp_sum(rates, COEFS, grid)
+    together = exp_modes(rates, COEFS, grid).span(0, grid.n)
     for i in range(COEFS.shape[0]):
-        assert np.array_equal(exp_sum(rates, COEFS[i:i + 1], grid)[0], together[i])
+        alone = exp_modes(rates, COEFS[i:i + 1], grid).span(0, grid.n)[0]
+        assert np.array_equal(alone, together[i])
 
 
 @pytest.mark.parametrize("rates", [REAL_RATES, PHASES], ids=["real", "complex"])
 def test_lazy_rows_slice_the_bits_of_the_full_sum(small_block, rates):
     """Every span of a row, aligned to the blocks or not, is cut from the same blocks."""
     grid = TimeGrid(dt=0.01, n=3 * SMALL_BLOCK + 3)
-    full = exp_sum(rates, COEFS, grid)
-    rows = grid_mod.exp_modes(rates, COEFS, grid)
+    rows = exp_modes(rates, COEFS, grid)
+    full = rows.span(0, grid.n)
     for i in range(COEFS.shape[0]):
         row = rows.row(i)
         assert len(row) == grid.n
@@ -80,10 +81,33 @@ def test_lazy_row_indexes_like_an_array(small_block):
     grid = TimeGrid(dt=0.25, n=2 * SMALL_BLOCK + 5)
     row, want = grid.lazy_times(), grid.times
     assert np.array_equal(np.asarray(row), want)
-    for key in (0, 7, -1, -grid.n, slice(None), slice(3, -2), slice(-5, None),
-                slice(None, None, 3), slice(None, None, -2), slice(9, 4)):
+    for key in (slice(None), slice(3, -2), slice(-5, None), slice(9, 4), slice(-grid.n, 2)):
         assert np.array_equal(row[key], want[key]), key
-    assert list(row) == list(want)
-    for bad in (grid.n, -grid.n - 1):
-        with pytest.raises(IndexError):
+    for bad in (0, slice(None, None, 2)):
+        with pytest.raises(TypeError, match="step-1 slices"):
             row[bad]
+
+
+@pytest.mark.parametrize("part", [np.real, np.imag, lambda z: np.abs(z) ** 2, lambda z: z * 3.5],
+                         ids=["real", "imag", "abs2", "scaled"])
+def test_row_part_maps_the_bits_of_each_span(small_block, part):
+    grid = TimeGrid(dt=0.01, n=3 * SMALL_BLOCK + 3)
+    rows = exp_modes(PHASES, COEFS, grid)
+    full = rows.span(0, grid.n)
+    for i in range(COEFS.shape[0]):
+        row = rows.row(i, part)
+        assert np.array_equal(np.asarray(row), part(full[i]))
+        for lo, hi in [(0, 5), (SMALL_BLOCK - 2, 2 * SMALL_BLOCK + 1), (grid.n - 1, grid.n)]:
+            assert np.array_equal(row[lo:hi], part(full[i, lo:hi])), (lo, hi)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1, 0.37, 1.0 / 3.0])
+def test_last_index_is_the_last_grid_point_up_to_the_horizon(dt):
+    grid = TimeGrid(dt=dt, n=40)
+    for horizon in [dt, 2.5 * dt, 7 * dt, 7 * dt + 5e-13, 7 * dt - 5e-13, 7 * dt + 1e-9,
+                    grid.t_end, grid.t_end + 1e-12, 0.3]:
+        want = np.count_nonzero(grid.times <= horizon + 1e-12) - 1
+        assert grid.last_index(horizon) == want, horizon
+    for bad in [0.0, -dt, grid.t_end + 1e-9, float("nan")]:
+        with pytest.raises(ValidationError, match="outside grid span"):
+            grid.last_index(bad)

@@ -250,9 +250,9 @@ def test_series_csvs_reject_ragged_before_writing(tmp_path):
 
 def test_probability_series_header(tmp_path):
     rm = build_rate_matrix(path_graph(3))
-    series = evolve_master(rm, 1, TimeGrid(0.5, 3))
+    grid = TimeGrid(0.5, 3)
     path = tmp_path / "p.csv"
-    write_probability_series_csv(path, series, {"walk": "classical"})
+    write_probability_series_csv(path, evolve_master(rm, 1, grid), grid, {"walk": "classical"})
     lines = path.read_text().splitlines()
     assert lines[1] == "t,p1,p2,p3"
     first = [float(x) for x in lines[2].split(",")]

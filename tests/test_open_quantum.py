@@ -70,7 +70,7 @@ def test_closed_system_limit_matches_unitary(nine_chain):
     cfg = LindbladConfig(rate=0.0, potential=0.0, jump=(9, 10))
     rho = evolve_lindblad(sticky, cfg, 1, grid)
     steps = _sampled_steps(grid)
-    amp = evolve_schrodinger(spectrum(sticky), 1, grid).values[steps]
+    amp = evolve_schrodinger(spectrum(sticky), 1, grid).span(0, grid.n).T[steps]
     pure = np.einsum("ti,tj->tij", amp, amp.conj())
     assert np.max(np.abs(rho.density_matrices(steps) - pure)) < 1e-6
 

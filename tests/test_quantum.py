@@ -9,10 +9,10 @@ from ctwalk import (
     build_hamiltonian,
     build_rate_matrix,
     build_side_chain_graph,
-    evolve_master,
     evolve_schrodinger,
     path_graph,
     transition_probabilities,
+    vertex_occupations,
 )
 from ctwalk.quantum import spectrum
 
@@ -55,8 +55,8 @@ def test_sticky_potential_on_diagonal():
 
 def test_two_path_rabi_oscillation():
     grid = TimeGrid.from_span(8.0, 0.01)
-    series = evolve_schrodinger(spectrum(path_graph(2)), 1, grid)
-    assert np.max(np.abs(np.abs(series.vertex(2)) ** 2 - np.sin(grid.times) ** 2)) < 1e-12
+    psi = evolve_schrodinger(spectrum(path_graph(2)), 1, grid).span(0, grid.n)
+    assert np.max(np.abs(np.abs(psi[1]) ** 2 - np.sin(grid.times) ** 2)) < 1e-12
 
 
 def test_three_path_transfer_probability():
@@ -67,19 +67,18 @@ def test_three_path_transfer_probability():
 
 
 def test_initial_condition_is_delta():
-    series = evolve_schrodinger(
+    psi = evolve_schrodinger(
         spectrum(chain(9, 2)), 3, TimeGrid.from_span(1.0, 0.1)
-    )
+    ).span(0, 1)
     delta = np.zeros(11, dtype=complex)
     delta[2] = 1.0
-    assert np.max(np.abs(series.values[0] - delta)) < 1e-12
+    assert np.max(np.abs(psi[:, 0] - delta)) < 1e-12
 
 
 def test_norm_conservation():
-    series = evolve_schrodinger(
-        spectrum(chain(9, 2, offset=1)), 1, TimeGrid.from_span(50.0, 0.05)
-    )
-    norms = (np.abs(series.values) ** 2).sum(axis=1)
+    grid = TimeGrid.from_span(50.0, 0.05)
+    psi = evolve_schrodinger(spectrum(chain(9, 2, offset=1)), 1, grid).span(0, grid.n)
+    norms = (np.abs(psi) ** 2).sum(axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
@@ -103,35 +102,34 @@ def test_reflection_symmetry_of_centered_model():
 def test_spectral_matches_rk4_on_nine_path():
     g = path_graph(9)
     grid = TimeGrid.from_span(20.0, 0.01)
-    series = evolve_schrodinger(spectrum(g), 1, grid)
+    psi = evolve_schrodinger(spectrum(g), 1, grid).span(0, grid.n)
     psi0 = np.zeros(9, dtype=complex)
     psi0[0] = 1.0
     oracle = rk4_schrodinger(build_hamiltonian(g), psi0, 20.0, 0.01)
-    assert np.max(np.abs(series.values - oracle)) < 1e-6
+    assert np.max(np.abs(psi.T - oracle)) < 1e-6
 
 
 def test_full_evolution_matches_selected_vertices_bitwise():
     # 5,001 points span two blocks of the shared blocked evaluator
     h = spectrum(chain(9, 2, offset=1))
     grid = TimeGrid.from_span(50.0, 0.01)
-    amp = evolve_schrodinger(h, 3, grid)
+    amp = evolve_schrodinger(h, 3, grid).span(0, grid.n)
     everyone = transition_probabilities(h, 3, tuple(range(1, h.n + 1)), grid)
-    assert np.array_equal(np.abs(amp.values.T) ** 2, everyone)
+    assert np.array_equal(np.abs(amp) ** 2, everyone)
     assert np.array_equal(transition_probabilities(h, 3, (9, 4), grid), everyone[[8, 3]])
 
 
 def test_occupations_sum_to_one():
-    series = evolve_schrodinger(
-        spectrum(chain(9, 1)), 1, TimeGrid.from_span(10.0, 0.1)
-    )
-    total = sum(np.abs(series.vertex(v)) ** 2 for v in range(1, 11))
+    grid = TimeGrid.from_span(10.0, 0.1)
+    psi = evolve_schrodinger(spectrum(chain(9, 1)), 1, grid).span(0, grid.n)
+    total = sum(np.abs(psi[v - 1]) ** 2 for v in range(1, 11))
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_two_path_period_is_pi():
     grid = TimeGrid.from_span(4.0 * np.pi, 0.001)
-    series = evolve_schrodinger(spectrum(path_graph(2)), 1, grid)
-    p2 = np.abs(series.vertex(2)) ** 2
+    psi = evolve_schrodinger(spectrum(path_graph(2)), 1, grid).span(0, grid.n)
+    p2 = np.abs(psi[1]) ** 2
     shift = int(round(np.pi / grid.dt))
     # pi is not a grid point; the mismatch is bounded by one step of slope <= 1
     assert np.max(np.abs(p2[shift:] - p2[:-shift])) < grid.dt
@@ -139,9 +137,9 @@ def test_two_path_period_is_pi():
 
 def test_unknown_vertex_rejected():
     g, grid = path_graph(3), TimeGrid(0.1, 5)
-    # vertex 0 would otherwise wrap around to the last column
-    for series in (evolve_schrodinger(spectrum(g), 1, grid),
-                   evolve_master(build_rate_matrix(g), 1, grid)):
+    # vertex 0 would otherwise wrap around to the last row
+    for select in (lambda v: transition_probabilities(spectrum(g), 1, (v,), grid),
+                   lambda v: vertex_occupations(build_rate_matrix(g), 1, (v,), grid)):
         for v in (0, 4):
             with pytest.raises(ValidationError, match=f"vertex {v} out of range 1..3"):
-                series.vertex(v)
+                select(v)
