@@ -64,8 +64,8 @@ from .graphs import (
 from .grid import Spectrum, TimeGrid
 from .open_quantum import (
     AncillaryFirstPassage,
-    DensityMatrixSeries,
     LindbladConfig,
+    PopulationSeries,
     complement_flux,
     evolve_lindblad,
     overlay_l2_error,

@@ -397,7 +397,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def _inject_config_defaults(argv: list[str]) -> list[str]:
     """Expand --config FILE, spelled any way the parser accepts, into key=value flags
-    right after the subcommand, so explicit flags (later) win."""
+    right after the subcommand, so explicit flags (later) win. key=true gives the
+    bare flag and key=false gives nothing, for the flags that take no value."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config", type=Path)
     path = pre.parse_known_args(argv[1:])[0].config
@@ -411,8 +412,8 @@ def _inject_config_defaults(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ValidationError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)
-        flag = "--" + key.strip().replace("_", "-")
-        injected += [flag, value.strip()]
+        flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+        injected += {"true": [flag], "false": []}.get(value.lower(), [flag, value])
     return argv[:1] + injected + argv[1:]
 
 

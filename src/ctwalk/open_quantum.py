@@ -8,8 +8,9 @@ probability on the complementary part of the graph:
 
       drho/dt = -i [H, rho] + (lambda/2) (2 L rho L+ - L+L rho - rho L+L)
 
-  propagated exactly in the eigenbasis of the non-Hermitian H_eff of the
-  single jump (Dalibard, Castin & Molmer 1992), populations only.
+  propagated once in the eigenbasis of the non-Hermitian H_eff of the
+  single jump (Dalibard, Castin & Molmer 1992). sigma is a sum of vertex
+  populations, so only the diagonal of rho(t) is kept (PopulationSeries).
 
 * ring dressing: the target is grown into a closed ring so outgoing
   amplitude circulates instead of reflecting; fully unitary.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +38,9 @@ from .first_passage import detect_tau0
 SOLVER = "eig(H_eff) Taylor"
 TRACE_TOL = 1e-6
 COND_MAX = 1e4  # populations lose about cond(R)^2 ulps in rho = R X R^H
-POP_BLOCK = 512  # grid steps per block of stored vec X rows
+# grid steps of vec X held at once: one reused (POP_BLOCK, n^2) buffer, turned into
+# populations by one product per block (a product per row rounds differently)
+POP_BLOCK = 512
 # Al-Mohy & Higham (2011), Table 3.1: a degree-m Taylor step of hA has backward
 # error below 2^-53 when ||hA|| <= THETA[m - 1]
 THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3,
@@ -85,37 +87,13 @@ class AncillaryFirstPassage:
     recurrence_time: float | None = None
 
 
-def _x_blocks(x0: np.ndarray, step: tuple, substeps: int, n_steps: int) -> Iterator[np.ndarray]:
-    """Rows vec X(t_k), k = 0 .. n_steps - 1, POP_BLOCK rows at a time."""
-    p, y, vt = step
-    x = x0
-    for lo in range(0, n_steps, POP_BLOCK):
-        rows = np.empty((min(POP_BLOCK, n_steps - lo), x.size), dtype=complex)
-        for i in range(len(rows)):
-            for _ in range(substeps if lo + i else 0):
-                x = p * x + y @ (vt @ x)
-            rows[i] = x
-        yield rows
-
-
 @dataclass(frozen=True, eq=False)
-class DensityMatrixSeries:
-    """rho = R X R^H on a uniform grid: populations, and the step that rebuilds X."""
+class PopulationSeries:
+    """The vertex populations rho_ii(t_k) on a uniform grid, shape (grid.n, n)."""
 
     grid: TimeGrid
     pops: np.ndarray
-    R: np.ndarray
-    x0: np.ndarray
-    step: tuple[np.ndarray, np.ndarray, np.ndarray]
-    substeps: int
     diagnostics: dict  # solver, cond_R, taylor_degree and trace_drift
-
-    def density_matrices(self, steps: np.ndarray) -> np.ndarray:
-        """rho at increasing grid steps, shape (len(steps), n, n)."""
-        blocks = _x_blocks(self.x0, self.step, self.substeps, int(steps[-1]) + 1)
-        x = np.concatenate([b[steps[steps // POP_BLOCK == j] % POP_BLOCK]
-                            for j, b in enumerate(blocks)])
-        return self.R @ x.reshape(len(steps), *self.R.shape) @ self.R.conj().T
 
 
 def evolve_lindblad(
@@ -123,7 +101,7 @@ def evolve_lindblad(
     cfg: LindbladConfig,
     start: int,
     grid: TimeGrid,
-) -> DensityMatrixSeries:
+) -> PopulationSeries:
     """Propagate the dissipative master equation from rho(0) = |start><start|.
 
     The trap potential sits on the sticky vertex (the highest index). With
@@ -132,7 +110,9 @@ def evolve_lindblad(
     eigenbasis of H_eff, the generator is A = diag(z) + rate u v^T; as
     A^i = D^i + rate sum_{k<i} A^k u v^T D^(i-1-k), its degree-m Taylor step
     is p(hD) + sum_{k<m} ((hA)^k u) V_k^T, a diagonal plus rank m, with m <= 12
-    and h set by a bound on ||A||_2 (Al-Mohy & Higham 2011). Raises
+    and h set by a bound on ||A||_2 (Al-Mohy & Higham 2011). The evolution
+    runs once: every POP_BLOCK grid steps of x fill one reused buffer, which
+    becomes the populations rho_ii = (q^T x)_i, and only those are kept. Raises
     NumericsError if cond(R) > COND_MAX (near an exceptional point of
     H_eff) or the trace drifts by more than TRACE_TOL.
     """
@@ -171,14 +151,22 @@ def evolve_lindblad(
     y[:, 0] = u
     for k in range(1, m):
         y[:, k] = hz * y[:, k - 1] + (h * cfg.rate * (v @ y[:, k - 1])) * u
-    step = (1.0 + hz * s[0], y, (h * cfg.rate) * v * s)
-    x0 = np.outer(r_inv[:, start - 1], r_inv[:, start - 1].conj()).ravel()
-    pops = np.concatenate([(x @ q).real for x in _x_blocks(x0, step, substeps, grid.n)])
+    p, vt = 1.0 + hz * s[0], (h * cfg.rate) * v * s
+    x = np.outer(r_inv[:, start - 1], r_inv[:, start - 1].conj()).ravel()
+    rows = np.empty((min(POP_BLOCK, grid.n), n * n), dtype=complex)
+    pops = np.empty((grid.n, n))
+    for lo in range(0, grid.n, POP_BLOCK):
+        k = min(POP_BLOCK, grid.n - lo)
+        for i in range(k):
+            for _ in range(substeps if lo + i else 0):
+                x = p * x + y @ (vt @ x)
+            rows[i] = x
+        pops[lo:lo + k] = (rows[:k] @ q).real
     drift = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
     if not drift <= TRACE_TOL:
         raise NumericsError(f"trace drifted by {drift:.3g} > {TRACE_TOL:g}")
     diagnostics = {"solver": SOLVER, "cond_R": cond, "taylor_degree": m, "trace_drift": drift}
-    return DensityMatrixSeries(grid, pops, r, x0, step, substeps, diagnostics)
+    return PopulationSeries(grid, pops, diagnostics)
 
 
 def complement_flux(sigma: np.ndarray, grid: TimeGrid) -> AncillaryFirstPassage:
@@ -189,15 +177,11 @@ def complement_flux(sigma: np.ndarray, grid: TimeGrid) -> AncillaryFirstPassage:
     integral of F_raw over [0, tau0] normalizes F so that its integral over
     the horizon is one exactly.
     """
-    dt = grid.dt
     if float(sigma[0] - sigma.min()) < 1e-9:
         raise NumericsError(
             "complement probability never decays; no first-passage signal"
         )
-    raw = np.empty_like(sigma)
-    raw[1:-1] = -(sigma[2:] - sigma[:-2]) / (2.0 * dt)
-    raw[0] = -(sigma[1] - sigma[0]) / dt
-    raw[-1] = -(sigma[-1] - sigma[-2]) / dt
+    raw = -np.gradient(sigma, grid.dt)
     tau0 = detect_tau0(raw, grid)
     tt, ff = grid.up_to(raw, tau0)
     a = float(np.trapezoid(ff, tt))
@@ -220,7 +204,7 @@ def complement_flux(sigma: np.ndarray, grid: TimeGrid) -> AncillaryFirstPassage:
 
 
 def sticky_first_passage(
-    series: DensityMatrixSeries, sigma_vertices: tuple[int, ...]
+    series: PopulationSeries, sigma_vertices: tuple[int, ...]
 ) -> AncillaryFirstPassage:
     """F from the population decay of the given complement vertices."""
     idx = np.array(sigma_vertices, dtype=int) - 1

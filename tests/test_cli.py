@@ -318,16 +318,29 @@ def test_simulate_full_series_flag(tmp_path):
                          ids=["config-FILE", "config=FILE", "conf-FILE"])
 def test_config_file_supplies_defaults_flags_win(tmp_path, spelling):
     cfg = tmp_path / "run.conf"
-    cfg.write_text("N=5\nwalk=classical\nS=1\n")
+    cfg.write_text("N=5\nwalk=classical\nS=1\nfull_series=true\n")
     given = [a.format(cfg) for a in spelling]
     out1 = tmp_path / "a"
     assert run(["simulate", *given, "--out-dir", out1]) == 0
     doc = json.loads((out1 / "result.json").read_text())
     assert doc["N"] == 5 and doc["walk"] == "classical" and doc["S"] == 1
+    assert (out1 / "occupations.csv").exists()
     out2 = tmp_path / "b"
     assert run(["simulate", *given, "--S", 0, "--out-dir", out2]) == 0
     doc2 = json.loads((out2 / "result.json").read_text())
     assert doc2["S"] == 0 and doc2["N"] == 5
+
+
+@pytest.mark.parametrize("value", ["True", "false"])
+def test_config_file_sets_a_flag_that_takes_no_value(tmp_path, value):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"method=ring\nN=9\nM=10\nsigma_includes_target={value}\n")
+    assert run(["ancillary", "--config", cfg, "--out-dir", tmp_path / "cfg"]) == 0
+    flag = ["--sigma-includes-target"] if value == "True" else []
+    assert run(["ancillary", "--method", "ring", "--N", 9, "--M", 10, *flag,
+                "--out-dir", tmp_path / "flag"]) == 0
+    overlay = [(tmp_path / d / "overlay.json").read_bytes() for d in ("cfg", "flag")]
+    assert overlay[0] == overlay[1]
 
 
 def test_sweep_outputs_and_cache_determinism(tmp_path):
