@@ -1,43 +1,50 @@
 """Ensemble sampling of first-passage times for the classical walk.
 
-Trajectories follow the jump process generated by the rate matrix: unit
-total exit rate at every vertex (exponential waiting time, mean one) and a
-uniformly random neighbor as the next vertex (Gillespie's stochastic
-simulation).
+Every vertex has unit total exit rate, so the walk is its jump chain (a
+uniformly random neighbor per jump) with iid Exp(1) holding times (Norris
+1997, sec. 2.6), and the number K of jumps to the first arrival is discrete
+phase-type (Neuts 1981): P(K = k) = e_s^T Q^(k-1) r, Q being the jump
+matrix on the non-target vertices and r the one-step arrival vector. Its
+CDF is tabulated once per call from powers of Q, not from the spectral
+solve the sample is checked against, until less than TAIL_MASS has not
+arrived. A trajectory hits at G + E, G ~ Gamma(K - 1, 1) (0 for K = 1)
+being its clock after the jumps that do not arrive and E ~ Exp(1) its last
+holding time. It is capped when G > t_cap, so, as step by step, a hit on
+the step that passes t_cap still counts.
 
-Sampling is vectorized over fixed-size batches of BATCH_SIZE trajectories.
-Each batch draws from its own seeded substream, spawned from (seed, batch
-index), so results are bit-reproducible for a given seed and the first k
-trajectories do not depend on how many batches follow. The batches run on
-every CPU in the affinity mask (parallel.ordered_map) and are gathered in
-batch order, so the results are also independent of the worker count.
+Batches of BATCH_SIZE trajectories run in turn, each from its own substream
+spawned from (seed, batch index): results are bit-reproducible for a seed,
+and the first k trajectories do not depend on how many batches follow.
 
-Determinism contract: a batch carries only its live trajectories (vertex,
-time and index into the batch), in batch order. Every step draws
-``rng.exponential(1.0, size=m)`` and then ``rng.random(m)``, m being the
-live count, adds the i-th waiting time to the i-th live time, and moves
-the i-th live trajectory to neighbor floor(u_i * degree) of its vertex.
-After the step, trajectories that reached the target (a hit, even on the
-step that passes t_cap) or passed t_cap (capped) leave the live set, which
-is compacted with one mask so the survivors keep their order.
+Determinism contract, per batch of n: K - 1 = ``searchsorted(cdf,
+rng.random(n), side="right")``. The m whose uniform lies beyond the table
+walk on, in batch order: ``rng.choice`` draws their vertices from the
+normalised surviving vector, then each step draws ``rng.random(m')`` for
+the m' still walking and moves the i-th to neighbor floor(u_i * degree) of
+its vertex; K is the table's length plus the steps. Then
+``G = rng.standard_gamma(K - 1)`` and ``E = rng.standard_exponential(n)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
 from .graphs import Graph
 from .grid import _check_positive
-from .parallel import ordered_map
 
 BATCH_SIZE = 100_000
 # most histogram bins a run may ask for (t_cap / bin_width); each array
 # over the bins then stays near 80 MB
 MAX_BINS = 10_000_000
+# most trajectories a run may ask for; the hitting times then stay near 80 MB
+MAX_TRAJ = 10_000_000
+# the jump-count table ends once less than this mass has not yet arrived
+TAIL_MASS = 1e-17
+# powers of the jump matrix propagated per step of the table build
+TABLE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,52 +80,54 @@ def _neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return table, deg
 
 
-def _run_batch(
-    table: np.ndarray,
-    deg: np.ndarray,
-    start: int,
-    target: int,
-    t_cap: float,
-    batch: tuple[int, np.random.SeedSequence],
-) -> tuple[np.ndarray, int]:
-    """Hitting times (inf if capped) and capped count of a batch of n
-    trajectories drawn from its substream, batch being (n, substream)."""
-    n, stream = batch
-    rng = np.random.default_rng(stream)
-    width = table.shape[1]
-    flat = table.ravel()
-    pos = np.full(n, start - 1, dtype=np.intp)
-    t = np.zeros(n)
-    idx = np.arange(n)
-    hits = np.full(n, np.inf)
-    capped = 0
-    while len(pos):
-        t += rng.exponential(1.0, size=len(pos))
-        u = rng.random(len(pos))
-        u *= deg.take(pos)
-        k = u.astype(np.intp)
-        pos *= width
-        k += pos
-        pos = flat.take(k)
-        arrived = pos == target - 1
-        keep = ~arrived
-        if t.max() > t_cap:
-            late = t > t_cap
-            late &= keep
-            capped += int(np.count_nonzero(late))
-            keep &= ~late
-        if not keep.all():
-            got = np.flatnonzero(arrived)
-            hits[idx.take(got)] = t.take(got)
-            live = np.flatnonzero(keep)
-            pos, t, idx = pos.take(live), t.take(live), idx.take(live)
-    return hits, capped
+def _jump_count_table(g: Graph, start: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """CDF of the jump count K (entry k - 1 is P(K <= k)) and the surviving
+    vector, the mass not arrived after the table's last jump (below TAIL_MASS).
+    The CDF is normalised by its sum plus that mass, so rounding stays off the tail."""
+    adj = g.adjacency()
+    jump = adj / adj.sum(axis=1)[:, None]
+    free = np.arange(g.n) != target - 1
+    q, r = jump[np.ix_(free, free)], jump[free, target - 1]
+    rows = [(np.arange(g.n) == start - 1)[free].astype(float)]
+    for _ in range(TABLE_BLOCK - 1):
+        rows.append(rows[-1] @ q)
+    # row i of block: the mass not yet arrived after (blocks done) * TABLE_BLOCK + i jumps
+    block, step = np.array(rows), np.linalg.matrix_power(q, TABLE_BLOCK)
+    pmf = []
+    while True:
+        end = np.flatnonzero(block.sum(axis=1) < TAIL_MASS)
+        if len(end):
+            pmf.append(block[: end[0]] @ r)
+            surviving = np.zeros(g.n)
+            surviving[free] = block[end[0]]
+            cdf = np.cumsum(np.concatenate(pmf))
+            cdf /= cdf[-1] + surviving.sum()
+            return cdf, surviving
+        pmf.append(block @ r)
+        block = block @ step
+
+
+def _tail_jumps(table: np.ndarray, deg: np.ndarray, target: int, surviving: np.ndarray,
+                rng: np.random.Generator, m: int) -> np.ndarray:
+    """Jumps to arrival of m trajectories from the normalised surviving vector, step by step."""
+    pos = rng.choice(len(surviving), size=m, p=surviving / surviving.sum())
+    jumps = np.zeros(m, dtype=np.int64)
+    live = np.arange(m)
+    while len(live):
+        jumps[live] += 1
+        u = rng.random(len(live))
+        pos = table[pos, (u * deg[pos]).astype(np.intp)]
+        walking = pos != target - 1
+        live, pos = live[walking], pos[walking]
+    return jumps
 
 
 def check_sampling_args(n_traj: int, bin_width: float, t_cap: float) -> None:
     """Reject a sampling request before any work is done for it."""
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
+    if n_traj > MAX_TRAJ:
+        raise ValidationError(f"n_traj = {n_traj} exceeds the budget of {MAX_TRAJ} trajectories")
     _check_positive("bin_width", bin_width)
     _check_positive("t_cap", t_cap)
     if t_cap / bin_width > MAX_BINS:
@@ -151,13 +160,22 @@ def gillespie_first_passage(
     if start == target:
         raise ValidationError("start and target must differ")
     check_sampling_args(n_traj, bin_width, t_cap)
+    if not g.is_connected():
+        raise ValidationError("sampling requires a connected graph")
     table, deg = _neighbor_table(g)
-    n_batches = (n_traj + BATCH_SIZE - 1) // BATCH_SIZE
-    streams = np.random.SeedSequence(seed).spawn(n_batches)
-    batches = [(min(BATCH_SIZE, n_traj - i * BATCH_SIZE), s) for i, s in enumerate(streams)]
-    parts = list(ordered_map(partial(_run_batch, table, deg, start, target, t_cap), batches))
-    hitting_times = np.concatenate([hits for hits, _ in parts])
-    capped = sum(c for _, c in parts)
+    cdf, surviving = _jump_count_table(g, start, target)
+    streams = np.random.SeedSequence(seed).spawn((n_traj + BATCH_SIZE - 1) // BATCH_SIZE)
+    hitting_times = np.empty(n_traj)
+    for lo, stream in zip(range(0, n_traj, BATCH_SIZE), streams):
+        rng = np.random.default_rng(stream)
+        n = min(BATCH_SIZE, n_traj - lo)
+        jumps = np.searchsorted(cdf, rng.random(n), side="right")  # K - 1
+        beyond = np.flatnonzero(jumps == len(cdf))
+        if len(beyond):
+            jumps[beyond] += _tail_jumps(table, deg, target, surviving, rng, len(beyond)) - 1
+        clock = rng.standard_gamma(jumps)  # after the K - 1 jumps that do not arrive
+        hits = clock + rng.standard_exponential(n)
+        hitting_times[lo:lo + n] = np.where(clock > t_cap, np.inf, hits)
     finite = hitting_times[np.isfinite(hitting_times)]
     top = float(finite.max()) if len(finite) else bin_width
     edges = np.arange(0.0, top + bin_width, bin_width)
@@ -170,7 +188,7 @@ def gillespie_first_passage(
         bin_edges=edges,
         density=density,
         n_traj=n_traj,
-        n_capped=capped,
+        n_capped=n_traj - len(finite),
     )
 
 

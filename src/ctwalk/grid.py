@@ -141,7 +141,7 @@ class ModeSum:
 
     @cached_property
     def _block(self) -> np.ndarray:
-        return self.modes(np.arange(min(BLOCK, self.n)))
+        return self.modes(np.arange(min(BLOCK, -(-self.n // 64) * 64)))
 
     def span(self, lo: int, hi: int, rows: list[int] | None = None) -> np.ndarray:
         """Rows (all, or those listed) at k = lo .. hi - 1; shape (len(rows), hi - lo)."""
@@ -149,7 +149,9 @@ class ModeSum:
         block = self._block
         out = np.empty((coefs.shape[0], hi - lo), dtype=np.result_type(coefs, block))
         for start in range(lo - lo % BLOCK, hi, BLOCK):
-            width = min(BLOCK, self.n - start)
+            # a multiple of 64 columns, the padding sliced off: OpenBLAS rounds a complex
+            # product alike on one thread and several only at widths divisible by 8
+            width = min(BLOCK, -(-(self.n - start) // 64) * 64)
             a, b = max(lo, start), min(hi, start + width)
             scaled = coefs * self.modes(np.array([start]))[:, 0]
             for i in range(coefs.shape[0]):

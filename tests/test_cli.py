@@ -538,6 +538,21 @@ def test_montecarlo_rejects_bins_before_reference_solve(tmp_path, capsys, monkey
     assert "histogram bins" in err and "Traceback" not in err
 
 
+def test_montecarlo_rejects_too_many_trajectories_before_reference_solve(
+    tmp_path, capsys, monkeypatch
+):
+    def boom(*a, **k):
+        raise AssertionError("reference solve ran before the input was checked")
+
+    monkeypatch.setattr(experiments, "run_pipeline", boom)
+    code = run(["montecarlo", "--N", 9, "--n-traj", gillespie.MAX_TRAJ + 1,
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "trajectories" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_entropy_outputs(tmp_path):
     assert run(["entropy", "--N", 5, "--out-dir", tmp_path]) == 0
     for s in (0, 1, 2):
@@ -580,11 +595,9 @@ def count_pools(monkeypatch):
 def test_parallel_commands_leave_no_worker_behind(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(io, "BLOCK_CELLS", 1 << 10)
-    monkeypatch.setattr(gillespie, "BATCH_SIZE", 1000)
     started = count_pools(monkeypatch)
     assert run(["simulate", "--walk", "classical", "--N", 9, "--out-dir", tmp_path / "s"]) == 0
-    assert run(["montecarlo", "--N", 5, "--n-traj", 5000, "--out-dir", tmp_path / "m"]) == 0
-    assert started == [1, 1]
+    assert started == [1]
     assert multiprocessing.active_children() == []
 
 
@@ -598,6 +611,8 @@ def test_serial_commands_start_no_pool(tmp_path, monkeypatch):
     assert run(["sweep", "--N-range", "3:7:2", "--S-set", "0,1", "--jobs", 1,
                 "--out-dir", tmp_path / "sweep"]) == 0
     assert run(["entropy", "--N", 9, "--out-dir", tmp_path / "entropy"]) == 0
+    monkeypatch.setattr(gillespie, "BATCH_SIZE", 1000)
+    assert run(["montecarlo", "--N", 5, "--n-traj", 5000, "--out-dir", tmp_path / "m"]) == 0
 
 
 def test_dead_worker_exits_1_without_traceback(tmp_path, monkeypatch, capsys):

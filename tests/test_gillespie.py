@@ -11,7 +11,6 @@ from ctwalk import (
     gillespie_first_passage,
     histogram_density_l1,
     mfpt_linear_solve,
-    parallel,
     path_graph,
 )
 
@@ -37,10 +36,10 @@ def test_fixed_seed_hitting_times_are_frozen():
     hist = gillespie_first_passage(path_graph(3), 1, 3, 10, seed=42, bin_width=0.5)
     # regression pin: the determinism contract makes these exact values
     assert hist.hitting_times.tolist() == [
-        4.0864874916483993, 3.2081156136109783, 0.67325702684145172,
-        0.78308801856845256, 3.9248951032588195, 2.2563064940577999,
-        0.20521752175706104, 3.8257408500090393, 7.7897729131054119,
-        0.77124207324298311,
+        2.9893336409332933, 9.8679046144598, 6.032290769822684,
+        2.0676210880631833, 8.000597610055927, 1.2131187216753834,
+        13.452087979098135, 8.434832107885482, 0.368051620113128,
+        3.9332681817821387,
     ]
     other = gillespie_first_passage(path_graph(3), 1, 3, 10, seed=43, bin_width=0.5)
     assert not np.array_equal(hist.hitting_times, other.hitting_times)
@@ -50,13 +49,14 @@ def test_capped_run_is_frozen():
     hist = gillespie_first_passage(
         path_graph(9), 1, 9, 2000, seed=5, bin_width=1.0, t_cap=5.0
     )
-    assert hist.n_capped == 1995
+    assert hist.n_capped == 1993
     hit = np.isfinite(hist.hitting_times)
-    assert np.flatnonzero(hit).tolist() == [94, 535, 810, 1491, 1634]
-    # three arrive on the step that passes t_cap and still count as hits
+    assert np.flatnonzero(hit).tolist() == [3, 43, 446, 543, 1109, 1328, 1460]
+    # four arrive on the step that passes t_cap and still count as hits
     assert hist.hitting_times[hit].tolist() == [
-        7.1106723637739506, 6.1144051486269415, 4.9801696244948133,
-        7.0544297579027191, 4.7056720354745565,
+        4.641868051532189, 5.742073864363049, 7.8023752399819095,
+        5.2247323054210275, 5.306393331130567, 2.5292714630111197,
+        4.937356537955459,
     ]
 
 
@@ -68,21 +68,6 @@ def test_batch_substreams_are_stable_under_total_count(monkeypatch):
     assert np.array_equal(short.hitting_times[:500], long.hitting_times[:500])
 
 
-@pytest.mark.parametrize("t_cap", [1e4, 5.0], ids=["uncapped", "capped"])
-def test_sample_does_not_depend_on_the_worker_count(monkeypatch, t_cap):
-    monkeypatch.setattr(gillespie_mod, "BATCH_SIZE", 300)  # 7 batches
-    runs = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        runs.append(gillespie_first_passage(path_graph(9), 1, 9, 2000, seed=5,
-                                            bin_width=1.0, t_cap=t_cap))
-    assert (runs[0].n_capped > 0) == (t_cap == 5.0)
-    for other in runs[1:]:
-        assert np.array_equal(other.hitting_times, runs[0].hitting_times)
-        assert other.n_capped == runs[0].n_capped
-        assert np.array_equal(other.density, runs[0].density)
-
-
 def test_time_cap_counts_not_drops():
     hist = gillespie_first_passage(
         path_graph(9), 1, 9, 2000, seed=5, bin_width=1.0, t_cap=5.0
@@ -91,6 +76,13 @@ def test_time_cap_counts_not_drops():
     assert np.count_nonzero(np.isinf(hist.hitting_times)) == hist.n_capped
     mass = hist.density.sum() * 1.0
     assert mass == pytest.approx((hist.n_traj - hist.n_capped) / hist.n_traj, abs=1e-12)
+
+
+def test_disconnected_graph_rejected():
+    # the jump-count table would never lose the mass of a walk that cannot arrive
+    g = Graph(n=4, edges=frozenset({(1, 2), (3, 4)}), labels=("chain",) * 4)
+    with pytest.raises(ValidationError):
+        gillespie_first_passage(g, 1, 3, 10, seed=0, bin_width=0.5)
 
 
 def test_histogram_mass_normalization():
@@ -116,6 +108,8 @@ def test_l1_against_exact_exponential():
         dict(start=1, target=2, n_traj=10, seed=0, bin_width=1e-300),
         dict(start=1, target=2, n_traj=10, seed=0, bin_width=1e-6),
         dict(start=1, target=2, n_traj=10, seed=0, bin_width=1e-3, t_cap=1e300),
+        # more trajectories than MAX_TRAJ, rejected before sampling
+        dict(start=1, target=2, n_traj=gillespie_mod.MAX_TRAJ + 1, seed=0, bin_width=0.5),
     ],
 )
 def test_bad_arguments_rejected(kwargs):
@@ -124,8 +118,8 @@ def test_bad_arguments_rejected(kwargs):
 
 
 def run_batch_reference(table, deg, start, target, n, rng, t_cap):
-    """The sampler's loop indexing every array through the live set: the
-    reference for the compacted loop in gillespie._run_batch."""
+    """The walk simulated step by step, every array indexed through the live
+    set: the reference the jump-count sampler must match in distribution."""
     deg = deg.astype(np.int64)
     pos = np.full(n, start - 1, dtype=np.int64)
     t = np.zeros(n)
@@ -159,26 +153,95 @@ def sampling_cases(draw):
     return g, start, target, t_cap, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(sampling_cases())
-def test_compacted_batches_match_reference_loop(case):
-    g, start, target, t_cap, seed = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gillespie_mod, "BATCH_SIZE", 97)
-        # in-process: a pool per example costs a fork and a join, and
-        # test_sample_does_not_depend_on_the_worker_count covers the pool
-        mp.setattr(parallel, "usable_cpus", lambda: 1)
-        hist = gillespie_first_passage(
-            g, start, target, 300, seed=seed, bin_width=0.5, t_cap=t_cap
-        )
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance; capped (inf) times sort last."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, x, side="right") / len(a)
+                        - np.searchsorted(b, x, side="right") / len(b)).max())
+
+
+def ks_critical(n, m, alpha=1e-6):
+    """Asymptotic two-sample critical distance, conservative for the atom at
+    inf; alpha is small because hypothesis runs many examples."""
+    return float(np.sqrt(-np.log(alpha / 2) * (n + m) / (2 * n * m)))
+
+
+def reference_sample(g, start, target, n, seed, t_cap):
     table, deg = gillespie_mod._neighbor_table(g)
-    parts, capped = [], 0
-    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(4)):
-        rng = np.random.default_rng(stream)
-        hits, c = run_batch_reference(
-            table, deg, start, target, min(97, 300 - 97 * i), rng, t_cap
-        )
-        parts.append(hits)
-        capped += c
-    assert np.array_equal(hist.hitting_times, np.concatenate(parts))
-    assert hist.n_capped == capped
+    return run_batch_reference(table, deg, start, target, n, np.random.default_rng(seed), t_cap)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sampling_cases())
+def test_jump_count_sample_matches_step_by_step_walk(case):
+    g, start, target, t_cap, seed = case
+    n = 100_000
+    hist = gillespie_first_passage(g, start, target, n, seed=seed, bin_width=0.5, t_cap=t_cap)
+    ref, _ = reference_sample(g, start, target, n, seed + 1, t_cap)
+    assert ks_distance(hist.hitting_times, ref) < ks_critical(n, n)
+
+
+@pytest.mark.parametrize(
+    "g, target, t_cap",
+    [(build_side_chain_graph(SideChainConfig(N=9)), 9, 150.0), (path_graph(3), 3, 1e4)],
+    ids=["side-chain-9", "path-3"],
+)
+def test_tail_beyond_the_table_is_walked_step_by_step(monkeypatch, g, target, t_cap):
+    # the table stops with up to 30% of the mass not arrived; that share of
+    # the trajectories leaves it and walks on from the surviving vector
+    monkeypatch.setattr(gillespie_mod, "TAIL_MASS", 0.3)
+    walked = []
+    tail_jumps = gillespie_mod._tail_jumps
+
+    def recording(*args):
+        jumps = tail_jumps(*args)
+        walked.append(len(jumps))
+        return jumps
+
+    monkeypatch.setattr(gillespie_mod, "_tail_jumps", recording)
+    n = 100_000
+    hist = gillespie_first_passage(g, 1, target, n, seed=4, bin_width=1.0, t_cap=t_cap)
+    tail = gillespie_mod._jump_count_table(g, 1, target)[1].sum()
+    assert 0.2 < tail < 0.3
+    assert abs(sum(walked) / n - tail) < 5 * np.sqrt(tail * (1 - tail) / n)
+    ref, _ = reference_sample(g, 1, target, n, 5, t_cap)
+    assert ks_distance(hist.hitting_times, ref) < ks_critical(n, n)
+
+
+def jump_count_pmf(g, start, target, k_max):
+    """P(K = k) for k = 1 .. k_max, one power of the jump matrix at a time."""
+    adj = g.adjacency()
+    jump = adj / adj.sum(axis=1)[:, None]
+    x = np.eye(g.n)[start - 1]
+    pmf = []
+    for _ in range(k_max):
+        x = x @ jump
+        pmf.append(x[target - 1])
+        x[target - 1] = 0.0
+    return np.array(pmf)
+
+
+@pytest.mark.parametrize("n, s", [(9, 0), (43, 2)])
+def test_jump_count_table_mean_is_the_linear_solve_mfpt(n, s):
+    # unit exit rates: the mean hitting time is the mean jump count
+    g = build_side_chain_graph(SideChainConfig(N=n, S=s))
+    cdf, surviving = gillespie_mod._jump_count_table(g, 1, n)
+    assert surviving.sum() < gillespie_mod.TAIL_MASS and surviving[n - 1] == 0.0
+    pmf = np.diff(cdf, prepend=0.0)
+    mean = float(np.arange(1, len(pmf) + 1) @ pmf)
+    assert mean == pytest.approx(mfpt_linear_solve(g, 1, n), rel=1e-9)
+    assert np.allclose(pmf[:500], jump_count_pmf(g, 1, n, 500), rtol=1e-9, atol=1e-15)
+
+
+def test_capped_fraction_is_the_phase_type_gamma_tail():
+    # capped iff the clock after the K - 1 jumps that do not arrive passes
+    # t_cap, and P(Gamma(k - 1, 1) > t) = P(Poisson(t) < k - 1)
+    n, t_cap, k_max = 100_000, 5.0, 3000
+    g = path_graph(9)
+    hist = gillespie_first_passage(g, 1, 9, n, seed=8, bin_width=1.0, t_cap=t_cap)
+    poisson = np.exp(-t_cap) * np.cumprod(np.concatenate([[1.0], t_cap / np.arange(1, k_max)]))
+    below = np.concatenate([[0.0], np.cumsum(poisson)[:-1]])  # P(Poisson < j), j = 0 ..
+    p = float(jump_count_pmf(g, 1, 9, k_max) @ below)  # entry k - 1 against j = k - 1
+    se = np.sqrt(p * (1 - p) / n)
+    assert abs(hist.n_capped / n - p) < 4 * se
