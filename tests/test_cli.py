@@ -1,6 +1,6 @@
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -579,26 +579,33 @@ def test_montecarlo_all_capped_writes_strict_json(tmp_path, capsys):
     assert "the mean is over finite hitting times only" in capsys.readouterr().out
 
 
-def count_pools(monkeypatch):
-    """Record each pool started, keeping the real one."""
-    started = []
-    make_pool = parallel._make_pool
+def count_forks(monkeypatch):
+    """Record the pid of each child forked, keeping the real fork."""
+    forked = []
+    fork = os.fork
 
-    def recording(workers, fn):
-        started.append(workers)
-        return make_pool(workers, fn)
+    def recording():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(parallel, "_make_pool", recording)
-    return started
+    monkeypatch.setattr(os, "fork", recording)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_parallel_commands_leave_no_worker_behind(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(io, "BLOCK_CELLS", 1 << 10)
-    started = count_pools(monkeypatch)
+    forked = count_forks(monkeypatch)
     assert run(["simulate", "--walk", "classical", "--N", 9, "--out-dir", tmp_path / "s"]) == 0
-    assert started == [1]
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1  # the series files' writer; the one-block files fork none
+    assert_no_child_left()
 
 
 def test_serial_commands_start_no_pool(tmp_path, monkeypatch):
@@ -607,7 +614,11 @@ def test_serial_commands_start_no_pool(tmp_path, monkeypatch):
     def no_pool(workers, fn):
         raise AssertionError("a process pool was started")
 
+    def no_fork():
+        raise AssertionError("a process was forked")
+
     monkeypatch.setattr(parallel, "_make_pool", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert run(["sweep", "--N-range", "3:7:2", "--S-set", "0,1", "--jobs", 1,
                 "--out-dir", tmp_path / "sweep"]) == 0
     assert run(["entropy", "--N", 9, "--out-dir", tmp_path / "entropy"]) == 0
@@ -632,7 +643,58 @@ def test_dead_worker_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert err.startswith("error: worker process died: ")
     assert "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def fresh_python(code, *args, timeout=60):
+    """Run code in a fresh interpreter that imports this checkout's ctwalk.
+
+    The interpreter leads its own process group, which is killed whole on a
+    timeout, so a hung child of it does not outlive the test.
+    """
+    src = str(Path(ctwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen([sys.executable, "-c", code, *map(str, args)], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def test_a_writer_killed_before_its_turn_exits_1_within_seconds(tmp_path):
+    # the process of CSV block 1, of three, is killed before its turn; the
+    # others must see it and end. A hang would time the interpreter out, and
+    # exit code 3 means a child outlived main
+    code = """
+import os, signal, sys
+from ctwalk import cli, io, parallel
+parallel.usable_cpus = lambda: 3
+io.BLOCK_CELLS = 1 << 10
+block = io._block
+
+def killed_at_block_1(columns, layout, step, lo):
+    if lo == step:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return block(columns, layout, step, lo)
+
+io._block = killed_at_block_1
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(3)
+"""
+    out = fresh_python(code, "simulate", "--walk", "classical", "--N", 9, "--out-dir", tmp_path,
+                       timeout=30)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith(
+        f"error: worker process died: process 1 of 3 was killed by signal {int(signal.SIGKILL)}")
+    assert "Traceback" not in out.stderr
 
 
 def test_importing_the_cli_stays_light():
@@ -641,8 +703,6 @@ def test_importing_the_cli_stays_light():
     code = ("import sys, ctwalk.cli, ctwalk.io\n"
             "heavy = ('fractions', 'decimal', 'concurrent.futures', 'multiprocessing')\n"
             "print([m for m in heavy if m in sys.modules], ctwalk.io._pow10.cache_info().currsize)")
-    src = str(Path(ctwalk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
+    out = fresh_python(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[]", "0"]

@@ -1,5 +1,6 @@
+import errno
 import json
-import multiprocessing
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -236,7 +237,29 @@ def test_writers_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, rows):
             write_columns_csv(out / f"{name}_columns.csv", ["t", name], [times, values], config)
             assert (out / f"{name}.csv").read_bytes() == expected[name], (cpus, name)
             assert (out / f"{name}_columns.csv").read_bytes() == expected[name], (cpus, name)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # every writer process was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_failed_write_leaves_no_child(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(io, "BLOCK_CELLS", 32)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    parent, write_all, calls = os.getpid(), io._write_all, []
+
+    def disk_fills_in_caller(fd, data):
+        calls.append(fd)
+        if os.getpid() == parent and len(calls) == 3:  # after the two headers
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_all(fd, data)
+
+    monkeypatch.setattr(io, "_write_all", disk_fills_in_caller)
+    t = np.arange(100.0)
+    files = [(tmp_path / "a.csv", ["t", "P"], [t, t * 2]), (tmp_path / "b.csv", ["t", "F"], [t, t / 3])]
+    with pytest.raises(OSError, match="No space left"):
+        write_csvs(files, {})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_series_csvs_reject_ragged_before_writing(tmp_path):
