@@ -33,6 +33,7 @@ from .graphs import (
 from .grid import TimeGrid
 from .open_quantum import (
     LindbladConfig,
+    check_sticky,
     overlay_l2_error,
     ring_first_passage,
     sticky_first_passage,
@@ -115,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--N-range", default="3:43:2", help="start:stop:step, stop inclusive")
     p_sweep.add_argument("--S-set", default="0,1,2", help="comma-separated side-chain lengths")
     p_sweep.add_argument("--offset", type=int, default=0)
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="processes to run cases on, this one included")
+    p_sweep.add_argument("--jobs", type=int, choices=(1,), default=1,
+                         help="accepted for old command lines: only 1; cases always "
+                              "run in this process")
     p_sweep.add_argument("--cache-dir", type=Path, default=None,
                          help="case cache (default <out-dir>/cache)")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -247,7 +249,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               "offset": args.offset, "dt": args.dt, "epsilon": args.epsilon}
     records = experiments.sweep(
         ns, s_values, args.offset, args.walk,
-        dt=args.dt, eps=args.epsilon, cache_dir=cache_dir, jobs=args.jobs,
+        dt=args.dt, eps=args.epsilon, cache_dir=cache_dir,
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     io.write_jsonl(args.out_dir / "records.jsonl", [asdict(r) for r in records])
@@ -290,6 +292,7 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
         sticky = attach_sticky_vertex(g, target)
         jump = (target, sticky.n) if args.jump_direction == "as-printed" else (sticky.n, target)
         lcfg = LindbladConfig(rate=args.lam, potential=args.V, jump=jump)
+        check_sticky(sticky, lcfg)
     ref, ref_grid = experiments.run_pipeline(quantum.spectrum(g), target, args.dt, args.epsilon)
     grid = TimeGrid.from_span(ref.tau0 + 6.0, args.dt)
     sigma_vertices = tuple(v for v in range(1, target + (1 if args.sigma_includes_target else 0)))

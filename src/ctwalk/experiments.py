@@ -4,8 +4,8 @@ A case is one (N, S, offset, walk) pipeline run: build the graph, evolve
 from the target, deconvolve, find the horizon, take the mean. Sweeps over
 many cases are cached on disk keyed by (N, S, offset, walk, dt) so large
 tables rerun incrementally; each entry also stores the eps it was run at
-and the SOLVER_ID of the code that wrote it. Independent cases can run on
-several processes (parallel.ordered_map).
+and the SOLVER_ID of the code that wrote it. Every case runs in this
+process.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .first_passage import (
 )
 from .graphs import Graph, SideChainConfig, bipartite_coloring, build_side_chain_graph
 from .grid import Spectrum, TimeGrid
-from .parallel import ordered_map
 
 MAX_HORIZON_DOUBLINGS = 8
 # names the solvers behind a cached record; change it whenever a solver
@@ -314,10 +313,6 @@ def cached_run_case(
     return record
 
 
-def _case_worker(args: tuple) -> SweepRecord:
-    return cached_run_case(*args)
-
-
 def sweep(
     ns: list[int],
     s_values: list[int],
@@ -326,18 +321,9 @@ def sweep(
     dt: float = 0.01,
     eps: float = 1e-6,
     cache_dir: str | Path | None = None,
-    jobs: int = 1,
 ) -> list[SweepRecord]:
-    """All (N, S) cases at a fixed offset, on up to jobs processes.
-
-    The output order is the deterministic product order of ns and s_values,
-    independent of scheduling. The busy processes, this one included, never
-    outnumber the usable CPUs or the cases; jobs=1 runs in this process.
-    """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    cases = [(n, s, offset, walk, dt, eps, cache_dir) for n in ns for s in s_values]
-    return list(ordered_map(_case_worker, cases, max_workers=jobs))
+    """All (N, S) cases at a fixed offset, in the product order of ns and s_values."""
+    return [cached_run_case(n, s, offset, walk, dt, eps, cache_dir) for n in ns for s in s_values]
 
 
 def group_by_n(records: list[SweepRecord]) -> dict[int, dict[int, SweepRecord]]:

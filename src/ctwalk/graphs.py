@@ -22,6 +22,17 @@ from .errors import ValidationError
 
 Edge = tuple[int, int]
 
+# most vertices a graph may have: the walks build dense n x n matrices and
+# take their full eigendecomposition: at 2,048 the adjacency is 32 MiB and
+# eigh took 1.1-2.1 s on a 2-vCPU host (OpenBLAS 0.3.31)
+MAX_VERTICES = 2048
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse more than MAX_VERTICES vertices, before any per-vertex structure is built."""
+    if n > MAX_VERTICES:
+        raise ValidationError(f"a graph of {n} vertices exceeds the budget of {MAX_VERTICES}")
+
 
 def _normalize_edge(u: int, v: int) -> Edge:
     if u == v:
@@ -40,6 +51,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"vertex count must be >= 1, got {self.n}")
+        check_vertex_count(self.n)
         if len(self.labels) != self.n:
             raise ValidationError("one label per vertex required")
         for u, v in self.edges:
@@ -106,6 +118,7 @@ class SideChainConfig:
             raise ValidationError(f"N must be >= 2, got {self.N}")
         if self.S < 0:
             raise ValidationError(f"S must be >= 0, got {self.S}")
+        check_vertex_count(self.N + self.S)
         if not (1 <= self.mount <= self.N):
             raise ValidationError(
                 f"mount position {self.mount} outside chain 1..{self.N} "
@@ -160,6 +173,7 @@ def dress_with_ring(g: Graph, target: int, m: int) -> Graph:
     g.check_vertex(target)
     if m < 3:
         raise ValidationError(f"ring size must be >= 3, got {m}")
+    check_vertex_count(g.n + m - 1)
     edges = set(g.edges)
     prev = target
     for k in range(1, m):
@@ -231,6 +245,7 @@ def from_edge_list_text(text: str) -> Graph:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise ValidationError(f"bad vertex count line {lines[0]!r}") from exc
+    check_vertex_count(n)
     edges = set()
     for ln in lines[1:]:
         parts = ln.split()

@@ -41,6 +41,9 @@ COND_MAX = 1e4  # populations lose about cond(R)^2 ulps in rho = R X R^H
 # grid steps of vec X held at once: one reused (POP_BLOCK, n^2) buffer, turned into
 # populations by one product per block (a product per row rounds differently)
 POP_BLOCK = 512
+# most vertices of a sticky graph: the propagation holds two (n^2, n) complex
+# arrays and the (POP_BLOCK, n^2) buffer, about 33 + 33 + 134 MB at 128
+MAX_STICKY_VERTICES = 128
 # Al-Mohy & Higham (2011), Table 3.1: a degree-m Taylor step of hA has backward
 # error below 2^-53 when ||hA|| <= THETA[m - 1]
 THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3,
@@ -96,6 +99,20 @@ class PopulationSeries:
     diagnostics: dict  # solver, cond_R, taylor_degree and trace_drift
 
 
+def check_sticky(g_sticky: Graph, cfg: LindbladConfig) -> None:
+    """Refuse a sticky run evolve_lindblad cannot take: no sticky vertex, more than
+    MAX_STICKY_VERTICES vertices, or a jump pair that is not an edge."""
+    if g_sticky.labels[-1] != "sticky":
+        raise ValidationError("graph must carry a sticky vertex (attach_sticky_vertex)")
+    if g_sticky.n > MAX_STICKY_VERTICES:
+        raise ValidationError(f"a sticky graph of {g_sticky.n} vertices exceeds the budget "
+                              f"of {MAX_STICKY_VERTICES}")
+    for v in cfg.jump:
+        g_sticky.check_vertex(v)
+    if tuple(sorted(cfg.jump)) not in g_sticky.edges:
+        raise ValidationError(f"jump pair {cfg.jump} is not an edge of the graph")
+
+
 def evolve_lindblad(
     g_sticky: Graph,
     cfg: LindbladConfig,
@@ -113,17 +130,13 @@ def evolve_lindblad(
     and h set by a bound on ||A||_2 (Al-Mohy & Higham 2011). The evolution
     runs once: every POP_BLOCK grid steps of x fill one reused buffer, which
     becomes the populations rho_ii = (q^T x)_i, and only those are kept. Raises
-    NumericsError if cond(R) > COND_MAX (near an exceptional point of
-    H_eff) or the trace drifts by more than TRACE_TOL.
+    ValidationError where check_sticky does, and NumericsError if
+    cond(R) > COND_MAX (near an exceptional point of H_eff) or the trace
+    drifts by more than TRACE_TOL.
     """
     g_sticky.check_vertex(start)
+    check_sticky(g_sticky, cfg)
     sticky = g_sticky.n
-    if g_sticky.labels[sticky - 1] != "sticky":
-        raise ValidationError("graph must carry a sticky vertex (attach_sticky_vertex)")
-    for v in cfg.jump:
-        g_sticky.check_vertex(v)
-    if tuple(sorted(cfg.jump)) not in g_sticky.edges:
-        raise ValidationError(f"jump pair {cfg.jump} is not an edge of the graph")
     h_eff = build_hamiltonian(g_sticky, potential={sticky: cfg.potential}).astype(complex)
     a, b = cfg.jump[0] - 1, cfg.jump[1] - 1
     h_eff[b, b] -= 0.5j * cfg.rate

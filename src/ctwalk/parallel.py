@@ -1,32 +1,20 @@
-"""Work on independent items spread over every usable CPU, in input order.
-
-ordered_map(fn, items) yields fn(item) for each item, in input order. It
-keeps usable_cpus() processes busy: the caller's own process computes
-every k-th item, k being the number of busy processes, and a pool of
-k - 1 workers computes the rest. At most two items per worker are
-submitted at a time, so the results held in memory stay bounded whatever
-the item count. Workers are forked: fn and the arrays it closes over are
-inherited rather than pickled, only the items and the results cross a
-pipe, and no forkserver or resource-tracker process is left behind. The
-executor forks all its workers at the first submit, before it starts any
-thread of its own. The pool is shut down when the results run out, when
-an item fails, or when the caller closes the iterator, so no worker
-outlives the map.
+"""Emit the results of independent items in input order, computed on every usable CPU.
 
 in_turns(fn, items, emit) calls emit(fn(item)) for each item, in input
 order, where emit's effect is on something every process shares, such as
 a file descriptor opened before the call. Process r of k forks from the
 caller (r = 0), computes items r, r + k, ... and emits each in its turn,
-which a one-byte token passes round a ring of pipes. No result crosses a
-process boundary, and a process holds only its own results: its last one
-until the next is computed. A process whose neighbour ended early sees
-the end of its token pipe, or a broken pipe, and ends too; the caller
-reaps every child before it returns or raises, and a child that died
-raises WorkerDied.
+which a one-byte token passes round a ring of pipes. fn and the arrays it
+closes over are inherited, not pickled; no result crosses a process
+boundary, and a process holds only its own results: its last one until
+the next is computed. A process whose neighbour ended early sees the end
+of its token pipe, or a broken pipe, and ends too; the caller reaps every
+child before it returns or raises, and a child that died raises
+WorkerDied.
 
-With one item, one usable CPU, max_workers=1, no fork on the platform, or
-inside a worker, the same fn runs in-process in the same order and no
-process starts. The worker count comes from the CPU affinity mask, so
+With one item, one usable CPU, no fork on the platform, or inside a child
+of in_turns, the same fn runs in-process in the same order and no process
+starts. The process count comes from the CPU affinity mask, so
 ``taskset`` or a cgroup restricts it.
 """
 
@@ -34,12 +22,10 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import deque
-from itertools import islice
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
-# in a worker process, the function it runs; None elsewhere
-_task: Callable[[Any], Any] | None = None
+# True in a process forked by in_turns, whose own in_turns calls run in-process
+_in_child = False
 
 
 class WorkerDied(RuntimeError):
@@ -52,71 +38,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _adopt(fn: Callable[[Any], Any]) -> None:
-    global _task
-    _task = fn
-
-
-def _call(item: Any) -> Any:
-    return _task(item)
-
-
-def _serial() -> bool:
-    return _task is not None or not hasattr(os, "fork")
-
-
-def _make_pool(workers: int, fn: Callable[[Any], Any]):
-    """Forked workers that each run _adopt(fn) first: a forked process takes
-    its initializer arguments by inheritance, so fn is never pickled."""
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    return ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
-                               initializer=_adopt, initargs=(fn,))
-
-
-def ordered_map(
-    fn: Callable[[Any], Any], items: Iterable[Any], max_workers: int | None = None
-) -> Iterator[Any]:
-    """fn(item) for each item, in order; max_workers caps the busy processes."""
-    items = list(items)
-    busy = min(usable_cpus(), len(items), max_workers or len(items))
-    if busy <= 1 or _serial():
-        yield from map(fn, items)
-        return
-    from concurrent.futures import Future
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = _make_pool(busy - 1, fn)
-    pending: deque[Future] = deque()  # one per item, in order
-    mine: deque[tuple[Future, Any]] = deque()  # the caller's items not yet computed
-    todo = enumerate(items)
-
-    def take(count: int) -> None:
-        for i, item in islice(todo, count):
-            if i % busy == 0:
-                mine.append((Future(), item))
-                pending.append(mine[-1][0])
-            else:
-                pending.append(pool.submit(_call, item))
-
-    try:
-        take(2 * busy)  # any 2 * busy consecutive items hold 2 of the caller's
-        while pending:
-            head = pending[0]
-            if not head.done() and mine:  # compute the caller's share while waiting
-                future, item = mine.popleft()
-                future.set_result(fn(item))
-                continue
-            result = pending.popleft().result()
-            take(1)
-            yield result
-    except BrokenProcessPool as exc:
-        raise WorkerDied(str(exc)) from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _keep(ends: set[int], own: tuple[int, int]) -> None:
@@ -152,9 +73,10 @@ def _exit_status(rank: int, k: int, status: int) -> str:
 
 def in_turns(fn: Callable[[Any], Any], items: Iterable[Any], emit: Callable[[Any], None]) -> None:
     """emit(fn(item)) for each item, in order, with fn spread over the usable CPUs."""
+    global _in_child
     items = list(items)
     k = min(usable_cpus(), len(items))
-    if k <= 1 or _serial():
+    if k <= 1 or _in_child or not hasattr(os, "fork"):
         for item in items:
             result = fn(item)  # keeps the last result, as _take_turns does
             emit(result)
@@ -170,7 +92,7 @@ def in_turns(fn: Callable[[Any], Any], items: Iterable[Any], emit: Callable[[Any
             if pid == 0:
                 code = 1
                 try:
-                    _adopt(fn)
+                    _in_child = True
                     _keep(ends, own[rank])
                     _take_turns(fn, items, emit, rank, k, *own[rank])
                     code = 0

@@ -383,11 +383,40 @@ def test_sweep_recomputes_corrupt_cache_entry(tmp_path, corrupt):
     assert entry.read_text() == text  # rewritten with the recomputed record
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
-    code = run(["sweep", "--N-range", "3:5:2", "--jobs", jobs, "--out-dir", tmp_path])
+@pytest.mark.parametrize("jobs", [0, -3, 2])
+def test_sweep_accepts_only_jobs_1(tmp_path, capsys, jobs):
+    code = run(["sweep", "--N-range", "3:5:2", "--jobs", jobs, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
     assert code == 2
-    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert err == f"error: argument --jobs: invalid choice: {jobs} (choose from 1)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--N", "300000"],
+    ["simulate", "--N", "9", "--S", "10000000"],
+    ["montecarlo", "--N", "300000"],
+    ["entropy", "--N", "2049"],
+    ["ancillary", "--method", "ring", "--N", "9", "--M", "10000000"],
+    ["simulate", "--graph-file", "{tmp}/huge.txt"],
+    ["ancillary", "--method", "sticky", "--N", "128"],
+], ids=["N", "S", "montecarlo-N", "entropy-N", "ring-M", "graph-file-n", "sticky-N"])
+def test_oversized_graphs_exit_2_before_any_matrix(tmp_path, capsys, monkeypatch, argv):
+    adjacency = ctwalk.Graph.adjacency
+
+    def small_only(g):
+        # the ring run's reference chain has 9 vertices; nothing here may build more
+        assert g.n <= 9, f"a {g.n} x {g.n} adjacency was built"
+        return adjacency(g)
+
+    monkeypatch.setattr(ctwalk.Graph, "adjacency", small_only)
+    (tmp_path / "huge.txt").write_text("n=10000000\n1 2\n")
+    code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: a ") and "exceeds the budget of" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_classical_summary_orders_taus(tmp_path):
@@ -611,13 +640,9 @@ def test_parallel_commands_leave_no_worker_behind(tmp_path, monkeypatch):
 def test_serial_commands_start_no_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
-    def no_pool(workers, fn):
-        raise AssertionError("a process pool was started")
-
     def no_fork():
         raise AssertionError("a process was forked")
 
-    monkeypatch.setattr(parallel, "_make_pool", no_pool)
     monkeypatch.setattr(os, "fork", no_fork)
     assert run(["sweep", "--N-range", "3:7:2", "--S-set", "0,1", "--jobs", 1,
                 "--out-dir", tmp_path / "sweep"]) == 0
@@ -698,8 +723,9 @@ sys.exit(3)
 
 
 def test_importing_the_cli_stays_light():
-    # a fresh interpreter: the pool's modules load when a pool starts, and the
-    # CSV encoder's power-of-ten table is built on its first use
+    # a fresh interpreter: nothing imports concurrent.futures or
+    # multiprocessing, and the CSV encoder's power-of-ten table is built on
+    # its first use
     code = ("import sys, ctwalk.cli, ctwalk.io\n"
             "heavy = ('fractions', 'decimal', 'concurrent.futures', 'multiprocessing')\n"
             "print([m for m in heavy if m in sys.modules], ctwalk.io._pow10.cache_info().currsize)")

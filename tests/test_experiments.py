@@ -1,5 +1,4 @@
 import json
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from ctwalk import (
     fit_power_law,
     from_edge_list_text,
     mfpt_linear_solve,
-    parallel,
     run_case,
     side_chain_deltas,
     speedup_fit,
@@ -231,48 +229,6 @@ def test_cache_recomputes_entry_of_another_solver(tmp_path):
     entry.write_text(json.dumps(stale))
     assert cached_run_case(3, 0, 0, "classical", cache_dir=tmp_path) == fresh
     assert entry.read_text() == text
-
-
-def test_parallel_sweep_matches_serial(tmp_path):
-    serial = sweep([3, 5], [0], 0, "quantum")
-    parallel = sweep([3, 5], [0], 0, "quantum", jobs=2)
-    assert serial == parallel
-
-
-@pytest.mark.parametrize("jobs,cpus,workers", [
-    (64, 3, 3),     # capped by the usable CPUs
-    (64, 8, 4),     # capped by the number of cases
-    (2, 8, 2),      # as asked
-    (64, None, None),  # unknown CPU count: one process, no pool
-])
-def test_sweep_pool_size_is_capped(monkeypatch, jobs, cpus, workers):
-    """workers counts the processes running cases: the pool's and this one."""
-    sizes = []
-
-    class RecordingPool:
-        """Serial stand-in for the process pool; records the size it was asked for."""
-
-        def __init__(self, max_workers, fn):
-            sizes.append(max_workers)
-            self.fn = fn
-
-        def submit(self, call, item):
-            future = Future()
-            future.set_result(self.fn(item))
-            return future
-
-        def shutdown(self, wait, cancel_futures):
-            pass
-
-    monkeypatch.setattr(parallel, "_make_pool", RecordingPool)
-    if cpus is None:  # no affinity mask to read and no CPU count
-        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
-    else:
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-    records = sweep([3, 5], [0, 1], 0, "quantum", jobs=jobs)
-    assert sizes == ([] if workers is None else [workers - 1])
-    assert [(r.N, r.S) for r in records] == [(3, 0), (3, 1), (5, 0), (5, 1)]
 
 
 def test_speedup_fit_on_small_sweep():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctwalk import (
+    Graph,
     SideChainConfig,
     ValidationError,
     attach_sticky_vertex,
@@ -13,6 +14,7 @@ from ctwalk import (
     path_graph,
     to_edge_list_text,
 )
+from ctwalk.graphs import MAX_VERTICES
 
 
 def chain(n, s=0, offset=0):
@@ -175,6 +177,21 @@ def test_small_ring_on_two_path():
 def test_ring_too_small():
     with pytest.raises(ValidationError):
         dress_with_ring(chain(9), 9, 2)
+
+
+def test_vertex_count_is_bounded_before_any_vertex_is_built():
+    top = MAX_VERTICES
+    assert chain(top - 1, s=1).n == top
+    assert dress_with_ring(chain(9), 9, top - 8).n == top
+    assert from_edge_list_text(f"n={top}\n1 2\n").n == top
+    for build in (lambda: SideChainConfig(N=top, S=1),
+                  lambda: SideChainConfig(N=top + 1),
+                  lambda: dress_with_ring(chain(9), 9, top - 7),
+                  lambda: from_edge_list_text("n=10000000\n1 2\n"),
+                  lambda: Graph(n=top + 1, edges=frozenset(), labels=())):
+        with pytest.raises(ValidationError,
+                           match=f"of ({top + 1}|10000000) vertices exceeds the budget of {top}$"):
+            build()
 
 
 @given(side_chain_configs, st.integers(3, 8))

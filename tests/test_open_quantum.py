@@ -20,7 +20,7 @@ from ctwalk import (
     sticky_first_passage,
 )
 from ctwalk.experiments import run_pipeline
-from ctwalk.open_quantum import POP_BLOCK
+from ctwalk.open_quantum import MAX_STICKY_VERTICES, POP_BLOCK, check_sticky
 from ctwalk.quantum import spectrum
 
 
@@ -59,6 +59,18 @@ def test_jump_must_be_an_edge(nine_chain):
     sticky = attach_sticky_vertex(nine_chain, 9)
     cfg = LindbladConfig(rate=1.0, potential=-1.0, jump=(1, 10))
     with pytest.raises(ValidationError):
+        evolve_lindblad(sticky, cfg, 1, TimeGrid.from_span(1.0, 0.01))
+
+
+def test_sticky_vertex_count_is_bounded():
+    def sticky_chain(n):  # n chain vertices and the sticky one
+        g = attach_sticky_vertex(build_side_chain_graph(SideChainConfig(N=n)), n)
+        return g, LindbladConfig(rate=1.0, potential=-1.0, jump=(n, n + 1))
+
+    top = MAX_STICKY_VERTICES
+    check_sticky(*sticky_chain(top - 1))
+    sticky, cfg = sticky_chain(top)
+    with pytest.raises(ValidationError, match=f"{top + 1} vertices exceeds the budget of {top}"):
         evolve_lindblad(sticky, cfg, 1, TimeGrid.from_span(1.0, 0.01))
 
 

@@ -1,126 +1,14 @@
-import multiprocessing
 import os
 import signal
-from concurrent.futures import Future
 
 import pytest
 
 from ctwalk import parallel
-from ctwalk.parallel import WorkerDied, in_turns, ordered_map, usable_cpus
-
-
-def square_where(x):
-    return x * x, os.getpid()
+from ctwalk.parallel import WorkerDied, in_turns, usable_cpus
 
 
 def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-
-
-def forbid_pool(monkeypatch):
-    def no_pool(workers, fn):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(parallel, "_make_pool", no_pool)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("count", [0, 1, 2, 7, 20])
-def test_results_come_in_input_order(monkeypatch, cpus, count):
-    use_cpus(monkeypatch, cpus)
-    got = list(ordered_map(square_where, range(count)))
-    assert [value for value, _ in got] == [i * i for i in range(count)]
-    busy = min(cpus, count)
-    here = [i for i, (_, pid) in enumerate(got) if pid == os.getpid()]
-    # the caller computes every busy-th item, the workers the rest
-    assert here == (list(range(count)) if busy <= 1 else list(range(0, count, busy)))
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("cpus,max_workers,count", [(1, None, 5), (4, 1, 5), (4, None, 1)])
-def test_in_process_cases_start_no_pool(monkeypatch, cpus, max_workers, count):
-    use_cpus(monkeypatch, cpus)
-    forbid_pool(monkeypatch)
-    got = list(ordered_map(square_where, range(count), max_workers=max_workers))
-    assert got == [(i * i, os.getpid()) for i in range(count)]
-
-
-@pytest.mark.parametrize("cpus,max_workers,workers", [(2, None, 1), (3, None, 2), (8, 3, 2)])
-def test_at_most_two_items_per_worker_are_submitted(monkeypatch, cpus, max_workers, workers):
-    submitted, sizes = [], []
-
-    class SerialPool:
-        def __init__(self, max_workers, fn):
-            sizes.append(max_workers)
-            self.fn = fn
-
-        def submit(self, call, item):
-            submitted.append(item)
-            future = Future()
-            future.set_result(self.fn(item))
-            return future
-
-        def shutdown(self, wait, cancel_futures):
-            pass
-
-    use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(parallel, "_make_pool", SerialPool)
-    outstanding = []
-    for item in ordered_map(lambda x: x, range(40), max_workers=max_workers):
-        outstanding.append(sum(i > item for i in submitted))
-    assert sizes == [workers]
-    assert len(submitted) == 40 - len(range(0, 40, workers + 1))
-    assert max(outstanding) == 2 * workers
-
-
-def test_nested_call_in_a_worker_runs_in_process(monkeypatch):
-    use_cpus(monkeypatch, 2)
-
-    def inner(x):
-        return os.getpid(), [pid for _, pid in ordered_map(square_where, range(4))]
-
-    got = list(ordered_map(inner, range(4)))
-    in_workers = [(pid, nested) for pid, nested in got if pid != os.getpid()]
-    assert in_workers
-    for pid, nested in in_workers:
-        assert nested == [pid] * 4
-    assert multiprocessing.active_children() == []
-
-
-def boom(x):
-    if x == 5:
-        raise KeyError(x)
-    return x
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_an_item_error_propagates_and_the_pool_goes(monkeypatch, cpus):
-    use_cpus(monkeypatch, cpus)
-    with pytest.raises(KeyError):
-        list(ordered_map(boom, range(12)))
-    assert multiprocessing.active_children() == []
-
-
-def test_a_dead_worker_raises_worker_died(monkeypatch):
-    use_cpus(monkeypatch, 2)
-    parent = os.getpid()
-
-    def dies_in_worker(x):
-        if os.getpid() != parent:
-            os._exit(3)
-        return x
-
-    with pytest.raises(WorkerDied):
-        list(ordered_map(dies_in_worker, range(6)))
-    assert multiprocessing.active_children() == []
-
-
-def test_closing_early_shuts_the_pool_down(monkeypatch):
-    use_cpus(monkeypatch, 2)
-    results = ordered_map(square_where, range(50))
-    assert next(results)[0] == 0
-    results.close()
-    assert multiprocessing.active_children() == []
 
 
 def assert_no_child_left():
@@ -170,9 +58,24 @@ def test_turns_run_in_process_on_one_cpu_one_item_or_in_a_worker(tmp_path, monke
     use_cpus(monkeypatch, cpus)
     forbid_fork(monkeypatch)
     if worker:
-        monkeypatch.setattr(parallel, "_task", uneven)
+        monkeypatch.setattr(parallel, "_in_child", True)
     lines = turns_to_file(tmp_path / "out", uneven, range(count))
     assert lines == [uneven(i)[:-1] for i in range(count)]
+
+
+def test_a_nested_call_in_a_child_runs_in_process(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 2)
+
+    def nested(i):
+        pids = []  # filled only by the items computed in this process
+        in_turns(lambda x: os.getpid(), range(4), pids.append)
+        return b"%d %d\n" % (os.getpid(), pids == [os.getpid()] * 4)
+
+    lines = turns_to_file(tmp_path / "out", nested, range(4))
+    in_child = [line for line in lines if int(line.split()[0]) != os.getpid()]
+    assert len(in_child) == 2  # items 1 and 3
+    assert all(line.endswith(b" 1") for line in in_child)
+    assert_no_child_left()
 
 
 def explodes(bad):
