@@ -28,6 +28,7 @@ from .graphs import (
     SideChainConfig,
     attach_sticky_vertex,
     build_side_chain_graph,
+    check_ring,
     from_edge_list_text,
 )
 from .grid import TimeGrid
@@ -188,6 +189,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if start == target:
         raise ValidationError(f"start and target must differ, both are {start}")
     config.update(start=start, target=target, walk=args.walk)
+    if args.walk == "quantum":  # refused before the eigh
+        experiments.quantum_grid(target, args.dt)
     model = experiments.walk_model(g, args.walk)
     result, grid = experiments.run_pipeline(model, target, args.dt, args.epsilon, start=start)
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,11 +291,15 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
     _settle(args, used, refused, f"--method {args.method}")
     g = build_side_chain_graph(SideChainConfig(N=args.N))
     target = args.N
-    if args.method == "sticky":  # validated before the reference run
+    # every input is validated before the reference run, the grid before its eigh
+    if args.method == "sticky":
         sticky = attach_sticky_vertex(g, target)
         jump = (target, sticky.n) if args.jump_direction == "as-printed" else (sticky.n, target)
         lcfg = LindbladConfig(rate=args.lam, potential=args.V, jump=jump)
         check_sticky(sticky, lcfg)
+    else:
+        check_ring(g, target, args.M)
+    experiments.quantum_grid(target, args.dt)
     ref, ref_grid = experiments.run_pipeline(quantum.spectrum(g), target, args.dt, args.epsilon)
     grid = TimeGrid.from_span(ref.tau0 + 6.0, args.dt)
     sigma_vertices = tuple(v for v in range(1, target + (1 if args.sigma_includes_target else 0)))

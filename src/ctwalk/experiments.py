@@ -33,7 +33,7 @@ from .grid import Spectrum, TimeGrid
 MAX_HORIZON_DOUBLINGS = 8
 # names the solvers behind a cached record; change it whenever a solver
 # change moves outputs, so older cache entries are recomputed
-SOLVER_ID = "exp-sum-modal-bound+blocked-64-all-lengths"
+SOLVER_ID = "exp-sum-modal-bound+blocked-64-all-lengths+seeded-blocks"
 ENTROPY_S_VALUES = (0, 1, 2)
 # largest round-trip residual max|F * P_bb - P_ab| a run may return
 # (acceptance criterion 5), measured on the grid (quantum) or bounded from
@@ -102,6 +102,22 @@ def walk_model(g: Graph, walk: str) -> Spectrum | classical.RateMatrix:
     if walk == "classical":
         return classical.build_rate_matrix(g)
     raise ValidationError(f"walk must be 'classical' or 'quantum', got {walk!r}")
+
+
+def quantum_grid(target: int, dt: float, doublings: int = 0) -> TimeGrid:
+    """The grid of run_pipeline's quantum solve after some horizon doublings.
+
+    The first starts near the ballistic crossing time. Its size follows
+    from target and dt alone, so a caller checks it here before the eigh.
+    Raises ValidationError when the grid would exceed MAX_SOLVE_POINTS.
+    """
+    grid = TimeGrid.from_span(max(12.0, 0.7 * target + 6.0) * 2.0**doublings, dt)
+    if grid.n > MAX_SOLVE_POINTS:
+        raise ValidationError(
+            f"the quantum solve on {grid.n} grid points exceeds the budget "
+            f"of {MAX_SOLVE_POINTS}; raise dt"
+        )
+    return grid
 
 
 def _gated(result: FirstPassageResult, residual_max: float) -> tuple[FirstPassageResult, TimeGrid]:
@@ -173,30 +189,26 @@ def run_pipeline(
             f"dt = {dt} aliases the fastest oscillation of P(t) (frequency "
             f"{bandwidth:.6g}); dt must be below {math.pi / bandwidth:.6g}"
         )
-    span = max(12.0, 0.7 * target + 6.0)
-    for _ in range(MAX_HORIZON_DOUBLINGS):
-        grid = TimeGrid.from_span(span, dt)
-        if grid.n > MAX_SOLVE_POINTS:
-            raise ValidationError(
-                f"the quantum solve on {grid.n} grid points exceeds the budget "
-                f"of {MAX_SOLVE_POINTS}; raise dt"
-            )
+    for doublings in range(MAX_HORIZON_DOUBLINGS):
+        grid = quantum_grid(target, dt, doublings)
         p_ab, p_bb = quantum.transition_probabilities(model, target, (start, target), grid)
         try:
             # d/dt |psi_a|^2 = 2 Re(conj(psi_a) psi_a') is 0 where psi_a(0) = 0
             result = extract_first_passage(p_ab, p_bb, grid, 0.0)
         except NoZeroCrossingError:
-            span *= 2.0
             continue
         return _gated(result, QUANTUM_RESIDUAL_MAX)
-    raise NoZeroCrossingError(f"no zero of F within {span} time units; giving up")
+    raise NoZeroCrossingError(f"no zero of F within {grid.t_end:g} time units; giving up")
 
 
 def run_case(
     n: int, s: int, offset: int, walk: str, dt: float = 0.01, eps: float = 1e-6
 ) -> SweepRecord:
     """Full pipeline for one (N, S, offset, walk) case."""
-    result, _ = run_pipeline(walk_model(_model_graph(n, s, offset), walk), n, dt, eps)
+    g = _model_graph(n, s, offset)
+    if walk == "quantum":  # refused before the eigh
+        quantum_grid(n, dt)
+    result, _ = run_pipeline(walk_model(g, walk), n, dt, eps)
     return SweepRecord(
         N=n,
         S=s,
@@ -380,6 +392,7 @@ def entropy_study(
     cases: dict[int, EntropyCase] = {}
     for s in ENTROPY_S_VALUES:
         g = _model_graph(n, s, offset)
+        quantum_grid(n, dt)  # refused before the eigh
         h = quantum.spectrum(g)
         result, _ = run_pipeline(h, n, dt, eps)
         grid = TimeGrid.from_span(result.tau0, dt)

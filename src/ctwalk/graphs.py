@@ -164,16 +164,21 @@ def attach_sticky_vertex(g: Graph, target: int) -> Graph:
     )
 
 
+def check_ring(g: Graph, target: int, m: int) -> None:
+    """Refuse an m-cycle at target that dress_with_ring could not build."""
+    g.check_vertex(target)
+    if m < 3:
+        raise ValidationError(f"ring size must be >= 3, got {m}")
+    check_vertex_count(g.n + m - 1)
+
+
 def dress_with_ring(g: Graph, target: int, m: int) -> Graph:
     """Grow target into an m-cycle by appending m - 1 chained ring vertices.
 
     The last new vertex closes the cycle back onto target, so target ends up
     with two ring neighbors.
     """
-    g.check_vertex(target)
-    if m < 3:
-        raise ValidationError(f"ring size must be >= 3, got {m}")
-    check_vertex_count(g.n + m - 1)
+    check_ring(g, target, m)
     edges = set(g.edges)
     prev = target
     for k in range(1, m):

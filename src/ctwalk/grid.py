@@ -124,9 +124,10 @@ class ModeSum:
     """Rows sum_j coefs[i, j] m_j(k) for k = 0 .. n - 1, evaluated block by block.
 
     modes(k) returns the (n_modes, len(k)) values m_j(k) of geometric modes,
-    m_j(lo + k) = m_j(lo) m_j(k). One (n_modes, BLOCK) block is computed
-    once; the output block at lo is that block rescaled by m_j(lo), taken
-    directly rather than by repeated multiplication, in one vector-matrix
+    m_j(a + b) = m_j(a) m_j(b). One (n_modes, BLOCK) block is computed once,
+    from modes at 64 + BLOCK / 64 points: m_j(64 a + b) is the product of
+    m_j(64 a) and m_j(b) for b < 64. The output block at lo is that block
+    rescaled by m_j(lo), itself taken from modes, in one vector-matrix
     product per row. A span is cut out of the BLOCK-aligned blocks that
     cover it, each computed at its full width, so a value's bits depend
     neither on the span asked for nor on which other rows were requested.
@@ -141,7 +142,10 @@ class ModeSum:
 
     @cached_property
     def _block(self) -> np.ndarray:
-        return self.modes(np.arange(min(BLOCK, -(-self.n // 64) * 64)))
+        width = min(BLOCK, -(-self.n // 64) * 64)
+        step = min(64, width)
+        inner, outer = self.modes(np.arange(step)), self.modes(np.arange(0, width, step))
+        return (outer[:, :, None] * inner[:, None, :]).reshape(-1, width)
 
     def span(self, lo: int, hi: int, rows: list[int] | None = None) -> np.ndarray:
         """Rows (all, or those listed) at k = lo .. hi - 1; shape (len(rows), hi - lo)."""
@@ -179,9 +183,7 @@ def exp_modes(rates: np.ndarray, coefs: np.ndarray, grid: TimeGrid) -> ModeSum:
     """
 
     def modes(k: np.ndarray) -> np.ndarray:
-        z = np.multiply.outer(rates, k * grid.dt)
-        # in place: a fresh block-sized output costs more page faults than exps
-        return np.exp(z, out=z)
+        return np.exp(np.multiply.outer(rates, k * grid.dt))
 
     return ModeSum(coefs, grid.n, modes)
 

@@ -271,6 +271,40 @@ def test_oversized_quantum_grid_exits_2_before_any_series(tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--walk", "quantum", "--N", "2000"],
+    ["entropy", "--N", "2000"],
+    ["ancillary", "--method", "ring", "--N", "2000"],
+    ["sweep", "--N-range", "2000:2000", "--S-set", "0", "--cache-dir", "{tmp}/cache"],
+], ids=["simulate", "entropy", "ancillary", "sweep"])
+def test_oversized_quantum_grid_exits_2_before_the_eigh(tmp_path, capsys, monkeypatch, argv):
+    # the first horizon at N = 2000, 1,406, is 140,601 points at dt = 0.01
+    def unreachable(*args):
+        raise AssertionError("eigh of a graph whose first grid is over budget")
+
+    monkeypatch.setattr(experiments.quantum, "spectrum", unreachable)
+    code = run([a.format(tmp=tmp_path) for a in argv] + ["--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the quantum solve on 140601 grid points")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n, m", [(9, 2), (301, 2000)], ids=["too-small", "too-many-vertices"])
+def test_ring_size_is_refused_before_the_reference_run(tmp_path, capsys, monkeypatch, n, m):
+    def boom(*a, **k):
+        raise AssertionError("reference run before the ring size was checked")
+
+    monkeypatch.setattr(experiments, "run_pipeline", boom)
+    code = run(["ancillary", "--method", "ring", "--N", n, "--M", m,
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ("ring size must be >= 3" if m < 3 else "2300 vertices exceeds the budget") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_oversized_classical_grid_exits_2_before_any_series(tmp_path, capsys, monkeypatch):
     # dt = 1e-3 puts the N = 43 horizon, about 2.1e4, on over 2.1e7 points
     def unreachable(*args):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from ctwalk import TimeGrid, ValidationError
+from ctwalk import (
+    SideChainConfig,
+    TimeGrid,
+    ValidationError,
+    build_side_chain_graph,
+    classical,
+    experiments,
+    quantum,
+)
 import ctwalk.grid as grid_mod
 from ctwalk.grid import ModeSum, exp_modes
 
@@ -51,6 +59,61 @@ def test_blocked_exponentials_match_per_mode_sum(small_block, n, rates):
 def test_blocked_powers_match_per_mode_sum(small_block, n):
     got = ModeSum(COEFS, n, lambda k: np.power.outer(BASES, k)).span(0, n)
     assert np.allclose(got, per_mode_power(BASES, COEFS, n), rtol=0.0, atol=1e-13)
+
+
+def _exp_modes(rates):
+    return lambda k: np.exp(np.multiply.outer(rates, k * 0.01))
+
+
+def _power_modes(bases):
+    return lambda k: np.power.outer(bases, k)
+
+
+def _walk_modes():
+    """Modes of the N = 43, S = 2 chain at dt = 0.01 (quantum phases, classical decays,
+    powers of the classical first-passage density), and bases whose powers underflow."""
+    g = build_side_chain_graph(SideChainConfig(N=43, S=2))
+    rm = classical.build_rate_matrix(g)
+    rho = experiments.run_pipeline(rm, 43, 0.01, 1e-6)[0].F.rho
+    return {
+        "quantum": (_exp_modes, quantum.spectrum(g).rates),
+        "classical": (_exp_modes, rm.spectrum.rates),
+        "powers": (_power_modes, rho),
+        "bases": (_power_modes, np.append(BASES, [0.7, -0.8])),
+    }
+
+
+WALK_MODES = _walk_modes()
+
+
+@pytest.mark.parametrize("block", [SMALL_BLOCK, grid_mod.BLOCK], ids=["small", "full"])
+@pytest.mark.parametrize("kind", list(WALK_MODES))
+def test_block_matches_modes_at_every_point(monkeypatch, block, kind):
+    """The block built from a 64-point seed times its stride-64 offsets is the direct one."""
+    monkeypatch.setattr(grid_mod, "BLOCK", block)
+    make, params = WALK_MODES[kind]
+    modes = make(params)
+    got = ModeSum(np.ones((1, len(params))), 10_000, modes)._block
+    want = modes(np.arange(block))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # 0.7^k and 0.8^k pass through subnormals near k = 2,000 and 3,200, where only atol holds
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, 4096, 3 * 4096 + 5])
+def test_modes_are_taken_at_a_seed_and_offsets_only(n):
+    """Building a block takes modes at 64 + width / 64 points, and each block one offset."""
+    seen = []
+
+    def modes(k):
+        seen.append(len(k))
+        return np.exp(np.multiply.outer(PHASES, k * 0.01))
+
+    rows = ModeSum(COEFS, n, modes)
+    rows.span(0, n)
+    width = min(grid_mod.BLOCK, -(-n // 64) * 64)
+    blocks = -(-n // grid_mod.BLOCK)
+    assert sum(seen) <= 64 + width // 64 + blocks, seen
 
 
 @pytest.mark.parametrize("rates", [REAL_RATES, PHASES], ids=["real", "complex"])
