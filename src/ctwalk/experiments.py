@@ -305,9 +305,7 @@ def cached_run_case(
     """
     if cache_dir is None:
         return run_case(n, s, offset, walk, dt, eps)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / _cache_name(n, s, offset, walk, dt)
+    path = Path(cache_dir) / _cache_name(n, s, offset, walk, dt)
     if path.exists():
         try:
             fields = json.loads(path.read_text())
@@ -321,6 +319,7 @@ def cached_run_case(
         ) == request:
             return cached
     record = run_case(n, s, offset, walk, dt, eps)
+    path.parent.mkdir(parents=True, exist_ok=True)  # only once there is an entry to write
     _atomic_write_text(path, json.dumps({**asdict(record), "solver": SOLVER_ID}))
     return record
 

@@ -17,7 +17,10 @@ spawned from (seed, batch index): results are bit-reproducible for a seed,
 and the first k trajectories do not depend on how many batches follow.
 
 Determinism contract, per batch of n: K - 1 = ``searchsorted(cdf,
-rng.random(n), side="right")``. The m whose uniform lies beyond the table
+rng.random(n), side="right")``. A guide table (Chen & Asau 1974; Devroye
+1986, sec. III.2.4) computes that same index, with one gather and one
+comparison for all but the few uniforms in a bucket that spans more than
+one step of the CDF. The m whose uniform lies beyond the table
 walk on, in batch order: ``rng.choice`` draws their vertices from the
 normalised surviving vector, then each step draws ``rng.random(m')`` for
 the m' still walking and moves the i-th to neighbor floor(u_i * degree) of
@@ -57,16 +60,22 @@ class FirstPassageHistogram:
     n_traj: int
     n_capped: int
 
+    def _finite(self) -> np.ndarray:
+        """The finite hitting times: the sample itself, not a copy, when none was capped."""
+        if self.n_capped == 0:
+            return self.hitting_times
+        return self.hitting_times[np.isfinite(self.hitting_times)]
+
     @property
     def empirical_mean(self) -> float | None:
         """Mean of the finite hitting times; None if every trajectory was capped."""
-        finite = self.hitting_times[np.isfinite(self.hitting_times)]
+        finite = self._finite()
         return float(np.mean(finite)) if len(finite) else None
 
     @property
     def empirical_stderr(self) -> float | None:
         """Standard error of that mean; None if every trajectory was capped."""
-        finite = self.hitting_times[np.isfinite(self.hitting_times)]
+        finite = self._finite()
         return float(np.std(finite) / np.sqrt(len(finite))) if len(finite) else None
 
 
@@ -105,6 +114,29 @@ def _jump_count_table(g: Graph, start: int, target: int) -> tuple[np.ndarray, np
             return cdf, surviving
         pmf.append(block @ r)
         block = block @ step
+
+
+def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CDF with inf appended, and its guide table (Chen & Asau 1974):
+    entry b is ``searchsorted(cdf, b / size, side="right")`` for b = 0 .. size,
+    size being the power of two at or above len(cdf)."""
+    size = 1 << (len(cdf) - 1).bit_length()
+    return np.append(cdf, np.inf), np.searchsorted(cdf, np.arange(size + 1) / size, side="right")
+
+
+def _guided_search(ext: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` for u in [0, 1), from _guide_table.
+
+    size is a power of two, so b = floor(u * size) holds b / size <= u < (b + 1) / size
+    exactly and the index lies in [guide[b], guide[b + 1]]. Where that range holds
+    one or two indices, one comparison with ext settles it; the few keys in wider
+    ranges are searched."""
+    b = (u * (len(guide) - 1)).astype(np.intp)
+    index = guide[b]
+    wide = np.flatnonzero(guide[1:][b] - index > 1)
+    index += ext[index] <= u
+    index[wide] = np.searchsorted(ext, u[wide], side="right")
+    return index
 
 
 def _tail_jumps(table: np.ndarray, deg: np.ndarray, target: int, surviving: np.ndarray,
@@ -164,19 +196,22 @@ def gillespie_first_passage(
         raise ValidationError("sampling requires a connected graph")
     table, deg = _neighbor_table(g)
     cdf, surviving = _jump_count_table(g, start, target)
+    ext, guide = _guide_table(cdf)
     streams = np.random.SeedSequence(seed).spawn((n_traj + BATCH_SIZE - 1) // BATCH_SIZE)
     hitting_times = np.empty(n_traj)
     for lo, stream in zip(range(0, n_traj, BATCH_SIZE), streams):
         rng = np.random.default_rng(stream)
         n = min(BATCH_SIZE, n_traj - lo)
-        jumps = np.searchsorted(cdf, rng.random(n), side="right")  # K - 1
+        jumps = _guided_search(ext, guide, rng.random(n))  # K - 1
         beyond = np.flatnonzero(jumps == len(cdf))
         if len(beyond):
             jumps[beyond] += _tail_jumps(table, deg, target, surviving, rng, len(beyond)) - 1
         clock = rng.standard_gamma(jumps)  # after the K - 1 jumps that do not arrive
         hits = clock + rng.standard_exponential(n)
         hitting_times[lo:lo + n] = np.where(clock > t_cap, np.inf, hits)
-    finite = hitting_times[np.isfinite(hitting_times)]
+    capped = np.isinf(hitting_times)
+    n_capped = int(np.count_nonzero(capped))
+    finite = hitting_times[~capped] if n_capped else hitting_times
     top = float(finite.max()) if len(finite) else bin_width
     edges = np.arange(0.0, top + bin_width, bin_width)
     if len(edges) < 2:
@@ -188,7 +223,7 @@ def gillespie_first_passage(
         bin_edges=edges,
         density=density,
         n_traj=n_traj,
-        n_capped=n_traj - len(finite),
+        n_capped=n_capped,
     )
 
 

@@ -276,7 +276,9 @@ def test_oversized_quantum_grid_exits_2_before_any_series(tmp_path, capsys, monk
     ["entropy", "--N", "2000"],
     ["ancillary", "--method", "ring", "--N", "2000"],
     ["sweep", "--N-range", "2000:2000", "--S-set", "0", "--cache-dir", "{tmp}/cache"],
-], ids=["simulate", "entropy", "ancillary", "sweep"])
+    # the default cache, <out-dir>/cache, is made only once an entry is written
+    ["sweep", "--N-range", "2000:2000", "--S-set", "0"],
+], ids=["simulate", "entropy", "ancillary", "sweep", "sweep-default-cache"])
 def test_oversized_quantum_grid_exits_2_before_the_eigh(tmp_path, capsys, monkeypatch, argv):
     # the first horizon at N = 2000, 1,406, is 140,601 points at dt = 0.01
     def unreachable(*args):

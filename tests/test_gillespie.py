@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -76,6 +78,36 @@ def test_time_cap_counts_not_drops():
     assert np.count_nonzero(np.isinf(hist.hitting_times)) == hist.n_capped
     mass = hist.density.sum() * 1.0
     assert mass == pytest.approx((hist.n_traj - hist.n_capped) / hist.n_traj, abs=1e-12)
+
+
+def test_uncapped_sample_is_not_copied():
+    # the peak is the sample and the deviations np.std forms, 2.1 samples; a
+    # copy of the finite times in the histogram, the mean or the stderr adds
+    # one (all three made it 3.1 samples, 24.7 MB for 10^6 hitting times)
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        hist = gillespie_first_passage(
+            build_side_chain_graph(SideChainConfig(N=9)), 1, 9, n, seed=1, bin_width=1.0
+        )
+        mean, stderr = hist.empirical_mean, hist.empirical_stderr
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.n_capped == 0
+    assert peak < 2.25 * hist.hitting_times.nbytes
+    assert mean == float(np.mean(hist.hitting_times))
+    assert stderr == float(np.std(hist.hitting_times) / np.sqrt(n))
+
+
+def test_capped_mean_and_stderr_are_over_the_finite_times():
+    hist = gillespie_first_passage(
+        path_graph(9), 1, 9, 2000, seed=5, bin_width=1.0, t_cap=40.0
+    )
+    finite = hist.hitting_times[np.isfinite(hist.hitting_times)]
+    assert 0 < hist.n_capped == 2000 - len(finite)
+    assert hist.empirical_mean == float(np.mean(finite))
+    assert hist.empirical_stderr == float(np.std(finite) / np.sqrt(len(finite)))
 
 
 def test_disconnected_graph_rejected():
@@ -207,6 +239,35 @@ def test_tail_beyond_the_table_is_walked_step_by_step(monkeypatch, g, target, t_
     assert abs(sum(walked) / n - tail) < 5 * np.sqrt(tail * (1 - tail) / n)
     ref, _ = reference_sample(g, 1, target, n, 5, t_cap)
     assert ks_distance(hist.hitting_times, ref) < ks_critical(n, n)
+
+
+@pytest.mark.parametrize(
+    "n, s, tail_mass",
+    [(9, 0, gillespie_mod.TAIL_MASS), (43, 2, gillespie_mod.TAIL_MASS), (9, 0, 0.3)],
+    ids=["side-chain-9", "side-chain-43-2", "tail-0.3"],
+)
+def test_guide_table_lookup_is_searchsorted(monkeypatch, n, s, tail_mass):
+    monkeypatch.setattr(gillespie_mod, "TAIL_MASS", tail_mass)
+    g = build_side_chain_graph(SideChainConfig(N=n, S=s))
+    cdf, _ = gillespie_mod._jump_count_table(g, 1, n)
+    ext, guide = gillespie_mod._guide_table(cdf)
+    size = len(guide) - 1
+    assert size & (size - 1) == 0 and len(cdf) <= size < 2 * len(cdf)
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)],
+        np.arange(size) / size,  # every bucket boundary
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+        np.linspace(cdf[-1], 1.0, 1000, endpoint=False),  # beyond the table
+        np.random.default_rng(0).random(100_000),
+    ])
+    u = u[u < 1.0]
+    b = (u * size).astype(np.intp)
+    width = guide[b + 1] - guide[b]
+    assert (width <= 1).any() and (width > 1).any()  # both ways of the lookup are taken
+    if tail_mass > 0.2:
+        assert (u >= cdf[-1]).sum() > 1000
+    assert np.array_equal(gillespie_mod._guided_search(ext, guide, u),
+                          np.searchsorted(cdf, u, side="right"))
 
 
 def jump_count_pmf(g, start, target, k_max):
