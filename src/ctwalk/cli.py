@@ -23,7 +23,12 @@ from pathlib import Path
 
 from . import classical, experiments, io, quantum
 from .errors import NumericsError, ValidationError
-from .gillespie import check_sampling_args, gillespie_first_passage, histogram_density_l1
+from .gillespie import (
+    check_jump_count_table,
+    check_sampling_args,
+    gillespie_first_passage,
+    histogram_density_l1,
+)
 from .graphs import (
     SideChainConfig,
     attach_sticky_vertex,
@@ -343,9 +348,10 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    check_sampling_args(args.n_traj, args.bin_width, args.t_cap)
+    check_sampling_args(args.n_traj, args.seed, args.bin_width, args.t_cap)
     g = build_side_chain_graph(SideChainConfig(N=args.N, S=args.S, offset=args.offset))
     target = args.N
+    check_jump_count_table(g, target)  # also before the reference solve
     config = {**_model_config(args), "n_traj": args.n_traj, "seed": args.seed,
               "bin_width": args.bin_width, "t_cap": args.t_cap}
     result, grid = experiments.run_pipeline(  # rejects a bad --epsilon before sampling

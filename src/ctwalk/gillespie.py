@@ -7,10 +7,13 @@ phase-type (Neuts 1981): P(K = k) = e_s^T Q^(k-1) r, Q being the jump
 matrix on the non-target vertices and r the one-step arrival vector. Its
 CDF is tabulated once per call from powers of Q, not from the spectral
 solve the sample is checked against, until less than TAIL_MASS has not
-arrived. A trajectory hits at G + E, G ~ Gamma(K - 1, 1) (0 for K = 1)
-being its clock after the jumps that do not arrive and E ~ Exp(1) its last
-holding time. It is capped when G > t_cap, so, as step by step, a hit on
-the step that passes t_cap still counts.
+arrived. That mass is below half an ulp at 1, so the table, normalised by
+its last entry, ends at exactly 1 and holds the K of every uniform draw: no
+trajectory is walked step by step. A trajectory hits at G + E,
+G ~ Gamma(K - 1, 1) (0 for K = 1) being its clock after the jumps that do
+not arrive and E ~ Exp(1) its last holding time. It is capped when
+G > t_cap, so, as step by step, a hit on the step that passes t_cap still
+counts.
 
 Batches of BATCH_SIZE trajectories run in turn, each from its own substream
 spawned from (seed, batch index): results are bit-reproducible for a seed,
@@ -20,16 +23,13 @@ Determinism contract, per batch of n: K - 1 = ``searchsorted(cdf,
 rng.random(n), side="right")``. A guide table (Chen & Asau 1974; Devroye
 1986, sec. III.2.4) computes that same index, with one gather and one
 comparison for all but the few uniforms in a bucket that spans more than
-one step of the CDF. The m whose uniform lies beyond the table
-walk on, in batch order: ``rng.choice`` draws their vertices from the
-normalised surviving vector, then each step draws ``rng.random(m')`` for
-the m' still walking and moves the i-th to neighbor floor(u_i * degree) of
-its vertex; K is the table's length plus the steps. Then
-``G = rng.standard_gamma(K - 1)`` and ``E = rng.standard_exponential(n)``.
+one step of the CDF. Then ``G = rng.standard_gamma(K - 1)`` and
+``E = rng.standard_exponential(n)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +44,16 @@ BATCH_SIZE = 100_000
 MAX_BINS = 10_000_000
 # most trajectories a run may ask for; the hitting times then stay near 80 MB
 MAX_TRAJ = 10_000_000
-# the jump-count table ends once less than this mass has not yet arrived
+# the jump-count table ends once less than this mass has not yet arrived; it
+# must stay below 2^-54, half an ulp at 1, so that the mass left out cannot
+# move the table's last entry off 1
 TAIL_MASS = 1e-17
 # powers of the jump matrix propagated per step of the table build
 TABLE_BLOCK = 64
+# most work a table build may take, its predicted entries times vertices squared.
+# The largest side chain accepted, N = 237 (1.77M entries, 9.9e10), took 4.8 s as
+# `montecarlo --dt 1` on two vCPUs; N = 43, S = 2 is 1.2e8
+MAX_TABLE_WORK = 1e11
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,20 +85,9 @@ class FirstPassageHistogram:
         return float(np.std(finite) / np.sqrt(len(finite))) if len(finite) else None
 
 
-def _neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded neighbor rows (0-based) and the degrees as float64 (exact)."""
-    deg = np.array([g.degree(v) for v in range(1, g.n + 1)], dtype=np.float64)
-    table = np.zeros((g.n, int(deg.max())), dtype=np.intp)
-    for v in range(1, g.n + 1):
-        nb = g.neighbors(v)
-        table[v - 1, : len(nb)] = np.array(nb, dtype=np.intp) - 1
-    return table, deg
-
-
-def _jump_count_table(g: Graph, start: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """CDF of the jump count K (entry k - 1 is P(K <= k)) and the surviving
-    vector, the mass not arrived after the table's last jump (below TAIL_MASS).
-    The CDF is normalised by its sum plus that mass, so rounding stays off the tail."""
+def _jump_count_table(g: Graph, start: int, target: int) -> np.ndarray:
+    """CDF of the jump count K (entry k - 1 is P(K <= k)), normalised by its last
+    entry, which is therefore exactly 1."""
     adj = g.adjacency()
     jump = adj / adj.sum(axis=1)[:, None]
     free = np.arange(g.n) != target - 1
@@ -107,55 +102,65 @@ def _jump_count_table(g: Graph, start: int, target: int) -> tuple[np.ndarray, np
         end = np.flatnonzero(block.sum(axis=1) < TAIL_MASS)
         if len(end):
             pmf.append(block[: end[0]] @ r)
-            surviving = np.zeros(g.n)
-            surviving[free] = block[end[0]]
             cdf = np.cumsum(np.concatenate(pmf))
-            cdf /= cdf[-1] + surviving.sum()
-            return cdf, surviving
+            return cdf / cdf[-1]
         pmf.append(block @ r)
         block = block @ step
 
 
-def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CDF with inf appended, and its guide table (Chen & Asau 1974):
-    entry b is ``searchsorted(cdf, b / size, side="right")`` for b = 0 .. size,
-    size being the power of two at or above len(cdf)."""
+def table_length_estimate(g: Graph, target: int) -> float:
+    """Predicted length of the jump-count table to target, ln(TAIL_MASS) / ln(rho).
+
+    rho is the spectral radius of the jump matrix Q on the non-target vertices,
+    read off D^(-1/2) A D^(-1/2) on them, which is similar to Q and symmetric. The
+    mass not arrived after k jumps is about c rho^k, c being the start's weight on
+    the slowest mode; leaving c out falls short by ln(c) / ln(rho) entries, 0.6% on
+    the side chains. The graph must be connected, so that rho < 1."""
+    adj = g.adjacency()
+    free = np.arange(g.n) != target - 1
+    root = np.sqrt(adj.sum(axis=1))[free]
+    rho = float(np.linalg.eigvalsh(adj[np.ix_(free, free)] / np.outer(root, root))[-1])
+    return math.log(TAIL_MASS) / math.log(rho) if rho > 0.0 else 1.0
+
+
+def check_jump_count_table(g: Graph, target: int) -> None:
+    """Refuse a jump-count table whose build would take more than MAX_TABLE_WORK."""
+    length = table_length_estimate(g, target)
+    if length * g.n**2 > MAX_TABLE_WORK:
+        raise ValidationError(
+            f"the jump-count table to vertex {target} would hold about {length:.3g} "
+            f"entries; times {g.n} vertices squared that exceeds the budget of "
+            f"{MAX_TABLE_WORK:.3g}; sample a smaller graph"
+        )
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """The guide table of a CDF that ends at 1 (Chen & Asau 1974): entry b is
+    ``searchsorted(cdf, b / size, side="right")`` for b = 0 .. size, size being
+    the power of two at or above len(cdf)."""
     size = 1 << (len(cdf) - 1).bit_length()
-    return np.append(cdf, np.inf), np.searchsorted(cdf, np.arange(size + 1) / size, side="right")
+    return np.searchsorted(cdf, np.arange(size + 1) / size, side="right")
 
 
-def _guided_search(ext: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``searchsorted(cdf, u, side="right")`` for u in [0, 1), from _guide_table.
 
     size is a power of two, so b = floor(u * size) holds b / size <= u < (b + 1) / size
-    exactly and the index lies in [guide[b], guide[b + 1]]. Where that range holds
-    one or two indices, one comparison with ext settles it; the few keys in wider
-    ranges are searched."""
+    exactly and the index lies in [guide[b], guide[b + 1]]; as u < 1 = cdf[-1], that
+    is below len(cdf). Where the range holds one or two indices, one comparison with
+    cdf settles it; the few keys in wider ranges are searched."""
     b = (u * (len(guide) - 1)).astype(np.intp)
     index = guide[b]
     wide = np.flatnonzero(guide[1:][b] - index > 1)
-    index += ext[index] <= u
-    index[wide] = np.searchsorted(ext, u[wide], side="right")
+    index += cdf[index] <= u
+    index[wide] = np.searchsorted(cdf, u[wide], side="right")
     return index
 
 
-def _tail_jumps(table: np.ndarray, deg: np.ndarray, target: int, surviving: np.ndarray,
-                rng: np.random.Generator, m: int) -> np.ndarray:
-    """Jumps to arrival of m trajectories from the normalised surviving vector, step by step."""
-    pos = rng.choice(len(surviving), size=m, p=surviving / surviving.sum())
-    jumps = np.zeros(m, dtype=np.int64)
-    live = np.arange(m)
-    while len(live):
-        jumps[live] += 1
-        u = rng.random(len(live))
-        pos = table[pos, (u * deg[pos]).astype(np.intp)]
-        walking = pos != target - 1
-        live, pos = live[walking], pos[walking]
-    return jumps
-
-
-def check_sampling_args(n_traj: int, bin_width: float, t_cap: float) -> None:
+def check_sampling_args(n_traj: int, seed: int, bin_width: float, t_cap: float) -> None:
     """Reject a sampling request before any work is done for it."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
     if n_traj > MAX_TRAJ:
@@ -185,27 +190,25 @@ def gillespie_first_passage(
     is normalized by n_traj and the bin width, so it estimates the
     first-passage density directly. Its bins run up to the last hit, at
     most one waiting time past t_cap, so t_cap / bin_width may not exceed
-    MAX_BINS.
+    MAX_BINS. The jump-count table's predicted build may not exceed
+    MAX_TABLE_WORK.
     """
     g.check_vertex(start)
     g.check_vertex(target)
     if start == target:
         raise ValidationError("start and target must differ")
-    check_sampling_args(n_traj, bin_width, t_cap)
+    check_sampling_args(n_traj, seed, bin_width, t_cap)
     if not g.is_connected():
         raise ValidationError("sampling requires a connected graph")
-    table, deg = _neighbor_table(g)
-    cdf, surviving = _jump_count_table(g, start, target)
-    ext, guide = _guide_table(cdf)
+    check_jump_count_table(g, target)
+    cdf = _jump_count_table(g, start, target)
+    guide = _guide_table(cdf)
     streams = np.random.SeedSequence(seed).spawn((n_traj + BATCH_SIZE - 1) // BATCH_SIZE)
     hitting_times = np.empty(n_traj)
     for lo, stream in zip(range(0, n_traj, BATCH_SIZE), streams):
         rng = np.random.default_rng(stream)
         n = min(BATCH_SIZE, n_traj - lo)
-        jumps = _guided_search(ext, guide, rng.random(n))  # K - 1
-        beyond = np.flatnonzero(jumps == len(cdf))
-        if len(beyond):
-            jumps[beyond] += _tail_jumps(table, deg, target, surviving, rng, len(beyond)) - 1
+        jumps = _guided_search(cdf, guide, rng.random(n))  # K - 1
         clock = rng.standard_gamma(jumps)  # after the K - 1 jumps that do not arrive
         hits = clock + rng.standard_exponential(n)
         hitting_times[lo:lo + n] = np.where(clock > t_cap, np.inf, hits)

@@ -44,6 +44,11 @@ POP_BLOCK = 512
 # most vertices of a sticky graph: the propagation holds two (n^2, n) complex
 # arrays and the (POP_BLOCK, n^2) buffer, about 33 + 33 + 134 MB at 128
 MAX_STICKY_VERTICES = 128
+# most propagation work a sticky run may take: grid steps x Taylor substeps x n^2.
+# The substeps grow with lambda. On two vCPUs the largest run accepted, N = 9 at
+# lambda = 1.8e4 (1.5e8), took 10 s, and N = 127 at lambda = 5 (1.2e8) 4.4 s; the
+# benchmark's N = 43, lambda = 4.6 case is 5.9e6
+MAX_STICKY_WORK = 1.5e8
 # Al-Mohy & Higham (2011), Table 3.1: a degree-m Taylor step of hA has backward
 # error below 2^-53 when ||hA|| <= THETA[m - 1]
 THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3,
@@ -130,7 +135,8 @@ def evolve_lindblad(
     and h set by a bound on ||A||_2 (Al-Mohy & Higham 2011). The evolution
     runs once: every POP_BLOCK grid steps of x fill one reused buffer, which
     becomes the populations rho_ii = (q^T x)_i, and only those are kept. Raises
-    ValidationError where check_sticky does, and NumericsError if
+    ValidationError where check_sticky does or, before any step, when the steps
+    times substeps times n^2 exceed MAX_STICKY_WORK, and NumericsError if
     cond(R) > COND_MAX (near an exceptional point of H_eff) or the trace
     drifts by more than TRACE_TOL.
     """
@@ -152,7 +158,14 @@ def evolve_lindblad(
     u = np.outer(r_inv[:, a], r_inv[:, a].conj()).ravel()
     v = q[:, b]
     norm = float(np.max(np.abs(z)) + cfg.rate * np.linalg.norm(u) * np.linalg.norm(v))
-    substeps = max(1, math.ceil(grid.dt * norm / THETA[-1]))
+    per_step = grid.dt * norm / THETA[-1]  # Taylor substeps per grid step, unrounded
+    if not grid.n * max(per_step, 1.0) * n * n <= MAX_STICKY_WORK:
+        raise ValidationError(
+            f"lambda = {cfg.rate:g} needs {per_step:.3g} Taylor substeps per grid step; "
+            f"over {grid.n} grid steps of {n}^2 entries that exceeds the budget of "
+            f"{MAX_STICKY_WORK:.3g}; lower lambda or take fewer grid steps"
+        )
+    substeps = max(1, math.ceil(per_step))
     h = grid.dt / substeps
     m = min(len(THETA), int(np.searchsorted(THETA, h * norm)) + 1)
     hz = h * z

@@ -205,12 +205,14 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["simulate", "--graph-file", "{tmp}/chain.txt", "--N", "4"],
     ["simulate", "--graph-file", "{tmp}/chain.txt", "--S", "0"],
     ["simulate", "--graph-file", "{tmp}/chain.txt", "--offset", "0"],
+    ["montecarlo", "--seed", "-1"],
+    ["ancillary", "--method", "sticky", "--lambda", "1e6"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
         "S-set-not-int", "S-set-empty", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
         "lambda-nan", "V-inf", "bin-width-nan", "t-cap-negative", "bin-width-tiny",
         "epsilon-nan", "epsilon-one", "dt-aliases-quantum", "ring-lambda", "ring-V",
         "ring-jump-direction", "ring-lambda-from-config", "sticky-M", "graph-file-N",
-        "graph-file-S", "graph-file-offset"])
+        "graph-file-S", "graph-file-offset", "seed-negative", "sticky-lambda-huge"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
     (tmp_path / "chain.txt").write_text("n=4\n1 2\n2 3\n3 4\n")
@@ -615,6 +617,22 @@ def test_montecarlo_rejects_too_many_trajectories_before_reference_solve(
     err = capsys.readouterr().err
     assert code == 2
     assert "trajectories" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_montecarlo_rejects_an_oversized_table_before_reference_solve(
+    tmp_path, capsys, monkeypatch
+):
+    def boom(*a, **k):
+        raise AssertionError("reference solve ran before the input was checked")
+
+    monkeypatch.setattr(experiments, "run_pipeline", boom)
+    # 2.9M entries over 301 vertices: the build would take about 11 s
+    code = run(["montecarlo", "--N", 301, "--n-traj", 10, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the jump-count table to vertex 301 would hold about 2.8")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

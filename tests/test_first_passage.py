@@ -419,3 +419,31 @@ def test_fft_size_is_smallest_five_smooth_length():
 
     want = [next(m for m in range(n, 2 * n + 1) if smooth(m)) for n in range(1, 5001)]
     assert [_fft_size(n) for n in range(1, 5001)] == want
+
+
+def uniformized_density(pmf, t):
+    """F(t) = sum_k P(K = k) e^(-t) t^(k-1) / (k-1)!: the first arrival after K jumps,
+    each after an Exp(1) holding time (Jensen 1953; Norris 1997, sec. 2.6), with the
+    Poisson weights taken in log space."""
+    j = np.arange(len(pmf))  # k - 1
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, len(pmf))))])
+    return np.array([pmf @ np.exp(j * np.log(x) - x - log_fact) for x in t])
+
+
+@pytest.mark.parametrize("n, s", [(9, 0), (43, 2)])
+def test_classical_density_against_the_uniformization_oracle(n, s):
+    """The pipeline's F against an exact F that shares nothing with its eigh: the
+    gap, O(dt^2), falls 4x on halving dt."""
+    from ctwalk.gillespie import _jump_count_table
+
+    g = build_side_chain_graph(SideChainConfig(N=n, S=s, offset=0))
+    pmf = np.diff(_jump_count_table(g, 1, n), prepend=0.0)
+    rm = build_rate_matrix(g)
+    coarse, _ = experiments.run_pipeline(rm, n, 0.01, 1e-6)
+    fine, _ = experiments.run_pipeline(rm, n, 0.005, 1e-6)
+    k = np.unique(np.linspace(1, round(coarse.tau0 / 0.01), 400).astype(int))
+    exact = uniformized_density(pmf, 0.01 * k)
+    gaps = [max(abs(result.F.at(int(i)) - f) for i, f in zip(step * k, exact)) / exact.max()
+            for result, step in ((coarse, 1), (fine, 2))]
+    assert gaps[0] < 4e-6
+    assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.1)

@@ -142,6 +142,8 @@ def test_l1_against_exact_exponential():
         dict(start=1, target=2, n_traj=10, seed=0, bin_width=1e-3, t_cap=1e300),
         # more trajectories than MAX_TRAJ, rejected before sampling
         dict(start=1, target=2, n_traj=gillespie_mod.MAX_TRAJ + 1, seed=0, bin_width=0.5),
+        # SeedSequence takes no negative seed
+        dict(start=1, target=2, n_traj=10, seed=-1, bin_width=0.5),
     ],
 )
 def test_bad_arguments_rejected(kwargs):
@@ -199,8 +201,17 @@ def ks_critical(n, m, alpha=1e-6):
     return float(np.sqrt(-np.log(alpha / 2) * (n + m) / (2 * n * m)))
 
 
+def neighbor_table(g):
+    """Zero-padded neighbor rows (0-based) and the degrees."""
+    deg = np.array([g.degree(v) for v in range(1, g.n + 1)])
+    table = np.zeros((g.n, deg.max()), dtype=np.int64)
+    for v in range(1, g.n + 1):
+        table[v - 1, : deg[v - 1]] = np.array(g.neighbors(v)) - 1
+    return table, deg
+
+
 def reference_sample(g, start, target, n, seed, t_cap):
-    table, deg = gillespie_mod._neighbor_table(g)
+    table, deg = neighbor_table(g)
     return run_batch_reference(table, deg, start, target, n, np.random.default_rng(seed), t_cap)
 
 
@@ -214,60 +225,40 @@ def test_jump_count_sample_matches_step_by_step_walk(case):
     assert ks_distance(hist.hitting_times, ref) < ks_critical(n, n)
 
 
-@pytest.mark.parametrize(
-    "g, target, t_cap",
-    [(build_side_chain_graph(SideChainConfig(N=9)), 9, 150.0), (path_graph(3), 3, 1e4)],
-    ids=["side-chain-9", "path-3"],
-)
-def test_tail_beyond_the_table_is_walked_step_by_step(monkeypatch, g, target, t_cap):
-    # the table stops with up to 30% of the mass not arrived; that share of
-    # the trajectories leaves it and walks on from the surviving vector
-    monkeypatch.setattr(gillespie_mod, "TAIL_MASS", 0.3)
-    walked = []
-    tail_jumps = gillespie_mod._tail_jumps
-
-    def recording(*args):
-        jumps = tail_jumps(*args)
-        walked.append(len(jumps))
-        return jumps
-
-    monkeypatch.setattr(gillespie_mod, "_tail_jumps", recording)
-    n = 100_000
-    hist = gillespie_first_passage(g, 1, target, n, seed=4, bin_width=1.0, t_cap=t_cap)
-    tail = gillespie_mod._jump_count_table(g, 1, target)[1].sum()
-    assert 0.2 < tail < 0.3
-    assert abs(sum(walked) / n - tail) < 5 * np.sqrt(tail * (1 - tail) / n)
-    ref, _ = reference_sample(g, 1, target, n, 5, t_cap)
-    assert ks_distance(hist.hitting_times, ref) < ks_critical(n, n)
+@settings(max_examples=200, deadline=None)
+@given(sampling_cases())
+def test_jump_count_table_ends_at_one(case):
+    # the mass left out is below half an ulp at 1, so no uniform lies beyond the table
+    g, start, target, _, seed = case
+    cdf = gillespie_mod._jump_count_table(g, start, target)
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.nextafter(cdf[:-1], 1.0),
+                        np.random.default_rng(seed).random(1000)])
+    u = u[u < 1.0]
+    assert np.array_equal(gillespie_mod._guided_search(cdf, gillespie_mod._guide_table(cdf), u),
+                          np.searchsorted(cdf, u, side="right"))
 
 
-@pytest.mark.parametrize(
-    "n, s, tail_mass",
-    [(9, 0, gillespie_mod.TAIL_MASS), (43, 2, gillespie_mod.TAIL_MASS), (9, 0, 0.3)],
-    ids=["side-chain-9", "side-chain-43-2", "tail-0.3"],
-)
-def test_guide_table_lookup_is_searchsorted(monkeypatch, n, s, tail_mass):
-    monkeypatch.setattr(gillespie_mod, "TAIL_MASS", tail_mass)
+@pytest.mark.parametrize("n, s", [(9, 0), (43, 2)], ids=["side-chain-9", "side-chain-43-2"])
+def test_guide_table_lookup_is_searchsorted(n, s):
     g = build_side_chain_graph(SideChainConfig(N=n, S=s))
-    cdf, _ = gillespie_mod._jump_count_table(g, 1, n)
-    ext, guide = gillespie_mod._guide_table(cdf)
+    cdf = gillespie_mod._jump_count_table(g, 1, n)
+    guide = gillespie_mod._guide_table(cdf)
     size = len(guide) - 1
     assert size & (size - 1) == 0 and len(cdf) <= size < 2 * len(cdf)
     u = np.concatenate([
         [0.0, np.nextafter(1.0, 0.0)],
         np.arange(size) / size,  # every bucket boundary
         cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
-        np.linspace(cdf[-1], 1.0, 1000, endpoint=False),  # beyond the table
         np.random.default_rng(0).random(100_000),
     ])
     u = u[u < 1.0]
     b = (u * size).astype(np.intp)
     width = guide[b + 1] - guide[b]
     assert (width <= 1).any() and (width > 1).any()  # both ways of the lookup are taken
-    if tail_mass > 0.2:
-        assert (u >= cdf[-1]).sum() > 1000
-    assert np.array_equal(gillespie_mod._guided_search(ext, guide, u),
-                          np.searchsorted(cdf, u, side="right"))
+    index = gillespie_mod._guided_search(cdf, guide, u)
+    assert np.array_equal(index, np.searchsorted(cdf, u, side="right"))
+    assert index.max() < len(cdf)
 
 
 def jump_count_pmf(g, start, target, k_max):
@@ -287,12 +278,48 @@ def jump_count_pmf(g, start, target, k_max):
 def test_jump_count_table_mean_is_the_linear_solve_mfpt(n, s):
     # unit exit rates: the mean hitting time is the mean jump count
     g = build_side_chain_graph(SideChainConfig(N=n, S=s))
-    cdf, surviving = gillespie_mod._jump_count_table(g, 1, n)
-    assert surviving.sum() < gillespie_mod.TAIL_MASS and surviving[n - 1] == 0.0
+    cdf = gillespie_mod._jump_count_table(g, 1, n)
+    assert cdf[-1] == 1.0
     pmf = np.diff(cdf, prepend=0.0)
     mean = float(np.arange(1, len(pmf) + 1) @ pmf)
     assert mean == pytest.approx(mfpt_linear_solve(g, 1, n), rel=1e-9)
     assert np.allclose(pmf[:500], jump_count_pmf(g, 1, n, 500), rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("g, target", [
+    (build_side_chain_graph(SideChainConfig(N=9)), 9),
+    (build_side_chain_graph(SideChainConfig(N=43, S=2)), 43),
+    (build_side_chain_graph(SideChainConfig(N=101)), 101),
+    (build_side_chain_graph(SideChainConfig(N=21, S=5, offset=-3)), 1),
+    (Graph(n=6, edges=frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)}),
+           labels=("chain",) * 6), 4),
+], ids=["side-chain-9", "side-chain-43-2", "side-chain-101", "side-chain-21-5-to-1",
+        "cycle-6-chord"])
+def test_table_length_estimate_is_the_real_length(g, target):
+    start = g.n if target == 1 else 1
+    real = len(gillespie_mod._jump_count_table(g, start, target))
+    assert gillespie_mod.table_length_estimate(g, target) == pytest.approx(real, rel=0.01)
+
+
+def test_table_length_estimate_without_free_edges():
+    # a star to its center: every jump arrives, so the table is the one entry K = 1
+    g = Graph(n=4, edges=frozenset({(1, 2), (1, 3), (1, 4)}), labels=("chain",) * 4)
+    assert len(gillespie_mod._jump_count_table(g, 2, 1)) == 1
+    assert gillespie_mod.table_length_estimate(g, 1) == 1.0
+    assert gillespie_mod.table_length_estimate(path_graph(2), 2) == 1.0
+
+
+def test_oversized_table_is_refused_before_it_is_built(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(gillespie_mod, "_jump_count_table", boom)
+    g = build_side_chain_graph(SideChainConfig(N=251))  # 1.98M entries x 251^2 = 1.25e11
+    with pytest.raises(ValidationError, match="jump-count table to vertex 251 would hold"):
+        gillespie_first_passage(g, 1, 251, 10, seed=0, bin_width=1.0)
+    monkeypatch.setattr(gillespie_mod, "MAX_TABLE_WORK", 1.3e11)
+    with pytest.raises(AssertionError, match="the table was built"):
+        gillespie_first_passage(g, 1, 251, 10, seed=0, bin_width=1.0)
 
 
 def test_capped_fraction_is_the_phase_type_gamma_tail():

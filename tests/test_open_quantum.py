@@ -20,6 +20,7 @@ from ctwalk import (
     sticky_first_passage,
 )
 from ctwalk.experiments import run_pipeline
+import ctwalk.open_quantum as open_quantum
 from ctwalk.open_quantum import MAX_STICKY_VERTICES, POP_BLOCK, check_sticky
 from ctwalk.quantum import spectrum
 
@@ -72,6 +73,24 @@ def test_sticky_vertex_count_is_bounded():
     sticky, cfg = sticky_chain(top)
     with pytest.raises(ValidationError, match=f"{top + 1} vertices exceeds the budget of {top}"):
         evolve_lindblad(sticky, cfg, 1, TimeGrid.from_span(1.0, 0.01))
+
+
+def test_sticky_work_is_bounded_in_lambda(nine_chain, sticky_grid, monkeypatch):
+    sticky = attach_sticky_vertex(nine_chain, 9)
+
+    def run(rate):
+        return evolve_lindblad(sticky, LindbladConfig(rate=rate, potential=-2.5, jump=(10, 9)),
+                               1, sticky_grid)
+
+    # 6.7e4 substeps per grid step, about 100 s of propagation: refused before the first
+    with pytest.raises(ValidationError, match=f"over {sticky_grid.n} grid steps of 10\\^2"):
+        run(1e6)
+    # one substep per grid step is the least a run takes: a budget of exactly that
+    # admits lambda = 5 and refuses lambda = 100, which needs seven
+    monkeypatch.setattr(open_quantum, "MAX_STICKY_WORK", sticky_grid.n * sticky.n**2)
+    assert run(5.0).diagnostics["trace_drift"] < 1e-8
+    with pytest.raises(ValidationError, match="exceeds the budget"):
+        run(100.0)
 
 
 def test_closed_system_limit_matches_unitary(nine_chain):
