@@ -23,6 +23,7 @@ from ctwalk import (
 )
 import ctwalk.experiments as experiments
 from ctwalk.first_passage import SOLVE_BLOCK, _fft_size, solve_exp_sum
+from ctwalk.gillespie import _jump_count_table
 from ctwalk.grid import exp_modes
 from ctwalk.quantum import spectrum
 
@@ -434,8 +435,6 @@ def uniformized_density(pmf, t):
 def test_classical_density_against_the_uniformization_oracle(n, s):
     """The pipeline's F against an exact F that shares nothing with its eigh: the
     gap, O(dt^2), falls 4x on halving dt."""
-    from ctwalk.gillespie import _jump_count_table
-
     g = build_side_chain_graph(SideChainConfig(N=n, S=s, offset=0))
     pmf = np.diff(_jump_count_table(g, 1, n), prepend=0.0)
     rm = build_rate_matrix(g)
