@@ -2,9 +2,10 @@
 
 `golden_records.json` holds tau, tau0 and norm for every quantum case with
 N in 3..15 and classical case with N in 3..9 (S in {0, 1, 2}, offset 0),
-the sticky and ring overlay errors at N = 9 and the entropy averages at
-N = 9, all at dt = 0.01 and eps = 1e-6. Every value must reproduce to a
-relative 1e-9.
+the sticky and ring overlay errors at N = 9 and at N = 43 (the sticky
+absorber in both jump directions and both sigma conventions, the ring with
+M = 44) and the entropy averages at N = 9, all at dt = 0.01 and
+eps = 1e-6. Every value must reproduce to a relative 1e-9.
 
 Regenerate (only when an output is meant to change, and say why):
 
@@ -22,6 +23,9 @@ from ctwalk.experiments import run_case
 GOLDEN = Path(__file__).with_name("golden_records.json")
 REL = 1e-9
 WALK_NS = {"quantum": range(3, 16), "classical": range(3, 10)}
+# the sticky absorber at the benchmark's scale, N = 43, in one jump direction
+STICKY43 = ["ancillary", "--method", "sticky", "--N", "43", "--lambda", "4.6", "--V", "-2.3",
+            "--jump-direction"]
 CLI = {
     "sticky": ["ancillary", "--method", "sticky", "--N", "9", "--lambda", "5",
                "--V", "-2.5", "--jump-direction", "reversed",
@@ -29,6 +33,12 @@ CLI = {
     "ring": ["ancillary", "--method", "ring", "--N", "9", "--M", "10",
              "--sigma-includes-target"],
     "entropy": ["entropy", "--N", "9"],
+    "sticky43_as-printed": STICKY43 + ["as-printed"],
+    "sticky43_as-printed_incl": STICKY43 + ["as-printed", "--sigma-includes-target"],
+    "sticky43_reversed": STICKY43 + ["reversed"],
+    "sticky43_reversed_incl": STICKY43 + ["reversed", "--sigma-includes-target"],
+    "ring43_incl": ["ancillary", "--method", "ring", "--N", "43", "--M", "44",
+                    "--sigma-includes-target"],
 }
 
 
