@@ -14,6 +14,7 @@ import numpy
 import pytest
 
 import ctwalk.experiments as experiments
+from ctwalk.cli import main
 from ctwalk.graphs import SideChainConfig, build_side_chain_graph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -66,3 +67,21 @@ def test_tracer_installs_over_every_traced_name(tracing, walk, spans):
         assert (name in names) == (name in spans), name
     assert _bindings(tracing) == original
     assert experiments.np is numpy
+
+
+def test_tracer_records_both_absorbers_through_the_cli(tracing, tmp_path):
+    """The absorber spans that perfbench/run.py --trace 1 reads from absorbers_mc."""
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main(["ancillary", "--method", "sticky", "--N", "9", "--jump-direction",
+                     "reversed", "--out-dir", str(tmp_path / "sticky")]) == 0
+        assert main(["ancillary", "--method", "ring", "--N", "9", "--M", "10",
+                     "--out-dir", str(tmp_path / "ring")]) == 0
+    names = [s.name for s in tracer.spans]
+    for name in ["graphs.attach_sticky_vertex", "open_quantum.evolve_lindblad",
+                 "open_quantum.sticky_first_passage", "open_quantum.complement_flux",
+                 "open_quantum.ring_first_passage", "graphs.dress_with_ring",
+                 "open_quantum.overlay_l2_error"]:
+        assert name in names
+    lindblad = [s for s in tracer.spans if s.name == "open_quantum.evolve_lindblad"]
+    assert [s.attrs["points"] for s in lindblad] == [1241]
