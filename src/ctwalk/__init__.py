@@ -65,7 +65,6 @@ from .grid import Spectrum, TimeGrid
 from .open_quantum import (
     AncillaryFirstPassage,
     LindbladConfig,
-    PopulationSeries,
     complement_flux,
     evolve_lindblad,
     overlay_l2_error,

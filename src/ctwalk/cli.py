@@ -31,7 +31,6 @@ from .gillespie import (
 )
 from .graphs import (
     SideChainConfig,
-    attach_sticky_vertex,
     build_side_chain_graph,
     check_ring,
     from_edge_list_text,
@@ -43,7 +42,6 @@ from .open_quantum import (
     overlay_l2_error,
     ring_first_passage,
     sticky_first_passage,
-    evolve_lindblad,
 )
 from .parallel import WorkerDied
 
@@ -298,10 +296,8 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
     target = args.N
     # every input is validated before the reference run, the grid before its eigh
     if args.method == "sticky":
-        sticky = attach_sticky_vertex(g, target)
-        jump = (target, sticky.n) if args.jump_direction == "as-printed" else (sticky.n, target)
-        lcfg = LindbladConfig(rate=args.lam, potential=args.V, jump=jump)
-        check_sticky(sticky, lcfg)
+        lcfg = LindbladConfig(rate=args.lam, potential=args.V, direction=args.jump_direction)
+        check_sticky(g, target)
     else:
         check_ring(g, target, args.M)
     experiments.quantum_grid(target, args.dt)
@@ -311,8 +307,7 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
     config = {"N": args.N, "method": args.method, "dt": args.dt,
               "sigma_includes_target": args.sigma_includes_target}
     if args.method == "sticky":
-        rho = evolve_lindblad(sticky, lcfg, 1, grid)
-        est = sticky_first_passage(rho, sigma_vertices)
+        est = sticky_first_passage(g, target, lcfg, 1, grid, sigma_vertices)
         config.update({"lambda": args.lam, "V": args.V,
                        "jump_direction": args.jump_direction})
     else:
@@ -336,7 +331,7 @@ def cmd_ancillary(args: argparse.Namespace) -> int:
         "normalization": est.normalization,
         "sigma_vertices": list(sigma_vertices),
         "recurrence_time": est.recurrence_time,
-        **(rho.diagnostics if args.method == "sticky" else {}),
+        **est.diagnostics,
     }
     io.write_json(args.out_dir / "overlay.json", payload, config)
     print(f"overlay L2 error = {err:.4f} -> {args.out_dir}")

@@ -42,18 +42,15 @@ def _normalize_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected, unweighted graph with 1-indexed vertices and role labels."""
+    """Undirected, unweighted graph with 1-indexed vertices."""
 
     n: int
     edges: frozenset[Edge]
-    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"vertex count must be >= 1, got {self.n}")
         check_vertex_count(self.n)
-        if len(self.labels) != self.n:
-            raise ValidationError("one label per vertex required")
         for u, v in self.edges:
             if not (1 <= u < v <= self.n):
                 raise ValidationError(f"edge ({u},{v}) outside vertex range 1..{self.n}")
@@ -139,7 +136,7 @@ def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValidationError(f"path needs at least 1 vertex, got {n}")
     edges = frozenset(_normalize_edge(i, i + 1) for i in range(1, n))
-    return Graph(n=n, edges=edges, labels=("chain",) * n)
+    return Graph(n=n, edges=edges)
 
 
 def build_side_chain_graph(cfg: SideChainConfig) -> Graph:
@@ -149,19 +146,13 @@ def build_side_chain_graph(cfg: SideChainConfig) -> Graph:
         edges.append(_normalize_edge(cfg.mount, cfg.N + 1))
         for k in range(2, cfg.S + 1):
             edges.append((cfg.N + k - 1, cfg.N + k))
-    labels = ("chain",) * cfg.N + ("side",) * cfg.S
-    return Graph(n=cfg.N + cfg.S, edges=frozenset(edges), labels=labels)
+    return Graph(n=cfg.N + cfg.S, edges=frozenset(edges))
 
 
 def attach_sticky_vertex(g: Graph, target: int) -> Graph:
-    """New graph with one pendant vertex (labelled sticky) joined to target."""
+    """New graph with one pendant vertex, g.n + 1, joined to target."""
     g.check_vertex(target)
-    sticky = g.n + 1
-    return Graph(
-        n=sticky,
-        edges=g.edges | {_normalize_edge(target, sticky)},
-        labels=g.labels + ("sticky",),
-    )
+    return Graph(n=g.n + 1, edges=g.edges | {_normalize_edge(target, g.n + 1)})
 
 
 def check_ring(g: Graph, target: int, m: int) -> None:
@@ -186,11 +177,7 @@ def dress_with_ring(g: Graph, target: int, m: int) -> Graph:
         edges.add(_normalize_edge(prev, cur))
         prev = cur
     edges.add(_normalize_edge(prev, target))
-    return Graph(
-        n=g.n + m - 1,
-        edges=frozenset(edges),
-        labels=g.labels + ("ring",) * (m - 1),
-    )
+    return Graph(n=g.n + m - 1, edges=frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -263,4 +250,4 @@ def from_edge_list_text(text: str) -> Graph:
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValidationError(f"edge ({u},{v}) outside vertex range 1..{n}")
         edges.add(_normalize_edge(u, v))
-    return Graph(n=n, edges=frozenset(edges), labels=("chain",) * n)
+    return Graph(n=n, edges=frozenset(edges))

@@ -3,21 +3,23 @@
 Two constructions expose F(t) through the decay of sigma(t), the total
 probability on the complementary part of the graph:
 
-* sticky tail: one pendant vertex with negative on-site potential, coupled
-  to the target by a dissipative jump operator; the density matrix obeys
+* sticky tail: one pendant vertex with negative on-site potential, hung off
+  the target and coupled to it by a dissipative jump operator; the density
+  matrix obeys
 
       drho/dt = -i [H, rho] + (lambda/2) (2 L rho L+ - L+L rho - rho L+L)
 
   propagated once in the eigenbasis of the non-Hermitian H_eff of the
   single jump (Dalibard, Castin & Molmer 1992). sigma is a sum of vertex
-  populations, so only the diagonal of rho(t) is kept (PopulationSeries).
+  populations, so only the diagonal of rho(t) is kept.
 
 * ring dressing: the target is grown into a closed ring so outgoing
   amplitude circulates instead of reflecting; fully unitary.
 
-In both cases F = -(1/A) d sigma/dt with A = sigma(0) - sigma(tau0), which
-makes F integrate to one on [0, tau0] by construction. The direction of the
-jump operator and the exact vertex set defining sigma are both physically
+Both estimators take the plain graph and the target and build their own
+absorber. In both cases F = -(1/A) d sigma/dt with A = sigma(0) - sigma(tau0),
+which makes F integrate to one on [0, tau0] by construction. The direction of
+the jump operator and the exact vertex set defining sigma are both physically
 ambiguous, so the caller passes both; the ancillary command records them
 with its outputs.
 """
@@ -25,12 +27,12 @@ with its outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .graphs import Graph, dress_with_ring
+from .graphs import Graph, attach_sticky_vertex, dress_with_ring
 from .grid import TimeGrid
 from .quantum import build_hamiltonian, spectrum, transition_probabilities
 from .first_passage import detect_tau0
@@ -59,22 +61,24 @@ THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3,
 class LindbladConfig:
     """Sticky-tail parameters: dissipation rate, trap potential, jump direction.
 
-    jump = (to, from) defines L = |to><from|. The printed convention moves
-    population from the sticky vertex back onto the target; the reversed one
-    drains the target into the sticky trap. Both are supported because only
-    one of them reproduces the convolution result (see the sweep reports).
+    direction "as-printed" takes L = |target><sticky|, which moves population
+    from the sticky vertex back onto the target; "reversed" takes
+    L = |sticky><target|, which drains the target into the sticky trap. Both
+    are supported because only one of them reproduces the convolution result
+    (see the sweep reports).
     """
 
     rate: float
     potential: float
-    jump: tuple[int, int]
+    direction: str
 
     def __post_init__(self) -> None:
         if not (self.rate >= 0 and math.isfinite(self.rate) and math.isfinite(self.potential)):
             raise ValidationError("need a finite dissipation rate lambda >= 0 and a finite "
                                   f"potential, got lambda={self.rate}, V={self.potential}")
-        if self.jump[0] == self.jump[1]:
-            raise ValidationError("jump operator needs two distinct vertices")
+        if self.direction not in ("as-printed", "reversed"):
+            raise ValidationError(f"jump direction must be as-printed or reversed, "
+                                  f"got {self.direction!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +88,8 @@ class AncillaryFirstPassage:
     normalization is the quadrature-consistent integral of the raw flux
     over [0, tau0]. recurrence_time marks when sigma regains one percent of
     its total decay, the signature of probability returning from the
-    absorber.
+    absorber. diagnostics holds the sticky propagator's solver, cond_R,
+    taylor_degree and trace_drift, and is empty for the ring.
     """
 
     grid: TimeGrid
@@ -93,40 +98,30 @@ class AncillaryFirstPassage:
     tau0: float
     normalization: float
     recurrence_time: float | None = None
+    diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False)
-class PopulationSeries:
-    """The vertex populations rho_ii(t_k) on a uniform grid, shape (grid.n, n)."""
-
-    grid: TimeGrid
-    pops: np.ndarray
-    diagnostics: dict  # solver, cond_R, taylor_degree and trace_drift
-
-
-def check_sticky(g_sticky: Graph, cfg: LindbladConfig) -> None:
-    """Refuse a sticky run evolve_lindblad cannot take: no sticky vertex, more than
-    MAX_STICKY_VERTICES vertices, or a jump pair that is not an edge."""
-    if g_sticky.labels[-1] != "sticky":
-        raise ValidationError("graph must carry a sticky vertex (attach_sticky_vertex)")
-    if g_sticky.n > MAX_STICKY_VERTICES:
-        raise ValidationError(f"a sticky graph of {g_sticky.n} vertices exceeds the budget "
+def check_sticky(g: Graph, target: int) -> None:
+    """Refuse a sticky run evolve_lindblad cannot take: a target outside g, or more
+    than MAX_STICKY_VERTICES vertices once the sticky vertex is attached."""
+    g.check_vertex(target)
+    if g.n + 1 > MAX_STICKY_VERTICES:
+        raise ValidationError(f"a sticky graph of {g.n + 1} vertices exceeds the budget "
                               f"of {MAX_STICKY_VERTICES}")
-    for v in cfg.jump:
-        g_sticky.check_vertex(v)
-    if tuple(sorted(cfg.jump)) not in g_sticky.edges:
-        raise ValidationError(f"jump pair {cfg.jump} is not an edge of the graph")
 
 
 def evolve_lindblad(
-    g_sticky: Graph,
+    g: Graph,
+    target: int,
     cfg: LindbladConfig,
     start: int,
     grid: TimeGrid,
-) -> PopulationSeries:
+) -> tuple[np.ndarray, dict]:
     """Propagate the dissipative master equation from rho(0) = |start><start|.
 
-    The trap potential sits on the sticky vertex (the highest index). With
+    The sticky vertex is attached to target as vertex g.n + 1 and carries the
+    trap potential; pops[k, i - 1] = rho_ii(t_k), shape (grid.n, g.n + 1), and
+    diagnostics holds solver, cond_R, taylor_degree and trace_drift. With
     L = |a><b|, drho/dt = -i(H_eff rho - rho H_eff^H) + rate rho_bb |a><a|,
     H_eff = H - (i rate/2)|b><b|. On x = vec X, rho = R X R^H in the
     eigenbasis of H_eff, the generator is A = diag(z) + rate u v^T; as
@@ -140,11 +135,12 @@ def evolve_lindblad(
     cond(R) > COND_MAX (near an exceptional point of H_eff) or the trace
     drifts by more than TRACE_TOL.
     """
-    g_sticky.check_vertex(start)
-    check_sticky(g_sticky, cfg)
+    g.check_vertex(start)
+    check_sticky(g, target)
+    g_sticky = attach_sticky_vertex(g, target)
     sticky = g_sticky.n
     h_eff = build_hamiltonian(g_sticky, potential={sticky: cfg.potential}).astype(complex)
-    a, b = cfg.jump[0] - 1, cfg.jump[1] - 1
+    a, b = (target - 1, sticky - 1) if cfg.direction == "as-printed" else (sticky - 1, target - 1)
     h_eff[b, b] -= 0.5j * cfg.rate
     mu, r = np.linalg.eig(h_eff)
     cond = float(np.linalg.cond(r))
@@ -192,7 +188,7 @@ def evolve_lindblad(
     if not drift <= TRACE_TOL:
         raise NumericsError(f"trace drifted by {drift:.3g} > {TRACE_TOL:g}")
     diagnostics = {"solver": SOLVER, "cond_R": cond, "taylor_degree": m, "trace_drift": drift}
-    return PopulationSeries(grid, pops, diagnostics)
+    return pops, diagnostics
 
 
 def complement_flux(sigma: np.ndarray, grid: TimeGrid) -> AncillaryFirstPassage:
@@ -230,11 +226,18 @@ def complement_flux(sigma: np.ndarray, grid: TimeGrid) -> AncillaryFirstPassage:
 
 
 def sticky_first_passage(
-    series: PopulationSeries, sigma_vertices: tuple[int, ...]
+    g: Graph,
+    target: int,
+    cfg: LindbladConfig,
+    start: int,
+    grid: TimeGrid,
+    sigma_vertices: tuple[int, ...],
 ) -> AncillaryFirstPassage:
-    """F from the population decay of the given complement vertices."""
+    """Hang a sticky vertex off target, evolve, and read F off the population
+    decay of the complement vertices; the propagator's diagnostics ride along."""
+    pops, diagnostics = evolve_lindblad(g, target, cfg, start, grid)
     idx = np.array(sigma_vertices, dtype=int) - 1
-    return complement_flux(series.pops[:, idx].sum(axis=1), series.grid)
+    return replace(complement_flux(pops[:, idx].sum(axis=1), grid), diagnostics=diagnostics)
 
 
 def ring_first_passage(

@@ -64,7 +64,7 @@ def test_columns_conserve_probability(n, s):
 def test_disconnected_graph_rejected():
     from ctwalk.graphs import Graph
 
-    g = Graph(n=3, edges=frozenset({(1, 2)}), labels=("chain",) * 3)
+    g = Graph(n=3, edges=frozenset({(1, 2)}))
     with pytest.raises(ValidationError):
         build_rate_matrix(g)
 

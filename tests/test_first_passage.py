@@ -281,8 +281,7 @@ def test_grid_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def star_graph(n):
-    return Graph(n=n, edges=frozenset((1, v) for v in range(2, n + 1)),
-                 labels=("chain",) * n)
+    return Graph(n=n, edges=frozenset((1, v) for v in range(2, n + 1)))
 
 
 def exact_and_direct(g, start, target, grid):
@@ -316,7 +315,7 @@ def connected_cases(draw):
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=8)))
-    g = Graph(n=n, edges=frozenset(edges), labels=("chain",) * n)
+    g = Graph(n=n, edges=frozenset(edges))
     start = draw(st.integers(1, n))
     target = draw(st.integers(1, n).filter(lambda v: v != start))
     grid = TimeGrid(dt=draw(st.sampled_from([0.05, 0.1])), n=draw(st.integers(3, 3000)))

@@ -112,7 +112,7 @@ def test_capped_mean_and_stderr_are_over_the_finite_times():
 
 def test_disconnected_graph_rejected():
     # the jump-count table would never lose the mass of a walk that cannot arrive
-    g = Graph(n=4, edges=frozenset({(1, 2), (3, 4)}), labels=("chain",) * 4)
+    g = Graph(n=4, edges=frozenset({(1, 2), (3, 4)}))
     with pytest.raises(ValidationError):
         gillespie_first_passage(g, 1, 3, 10, seed=0, bin_width=0.5)
 
@@ -180,7 +180,7 @@ def sampling_cases(draw):
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=8)))
-    g = Graph(n=n, edges=frozenset(edges), labels=("chain",) * n)
+    g = Graph(n=n, edges=frozenset(edges))
     start = draw(st.integers(1, n))
     target = draw(st.integers(1, n).filter(lambda v: v != start))
     t_cap = draw(st.sampled_from([0.5, 2.0, 6.0, 1e4]))
@@ -291,8 +291,7 @@ def test_jump_count_table_mean_is_the_linear_solve_mfpt(n, s):
     (build_side_chain_graph(SideChainConfig(N=43, S=2)), 43),
     (build_side_chain_graph(SideChainConfig(N=101)), 101),
     (build_side_chain_graph(SideChainConfig(N=21, S=5, offset=-3)), 1),
-    (Graph(n=6, edges=frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)}),
-           labels=("chain",) * 6), 4),
+    (Graph(n=6, edges=frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)})), 4),
 ], ids=["side-chain-9", "side-chain-43-2", "side-chain-101", "side-chain-21-5-to-1",
         "cycle-6-chord"])
 def test_table_length_estimate_is_the_real_length(g, target):
@@ -303,7 +302,7 @@ def test_table_length_estimate_is_the_real_length(g, target):
 
 def test_table_length_estimate_without_free_edges():
     # a star to its center: every jump arrives, so the table is the one entry K = 1
-    g = Graph(n=4, edges=frozenset({(1, 2), (1, 3), (1, 4)}), labels=("chain",) * 4)
+    g = Graph(n=4, edges=frozenset({(1, 2), (1, 3), (1, 4)}))
     assert len(gillespie_mod._jump_count_table(g, 2, 1)) == 1
     assert gillespie_mod.table_length_estimate(g, 1) == 1.0
     assert gillespie_mod.table_length_estimate(path_graph(2), 2) == 1.0

@@ -42,7 +42,6 @@ def test_three_path_is_a_path():
 def test_side_vertex_joins_center():
     g = chain(3, s=1)
     assert g.edges == frozenset({(1, 2), (2, 3), (2, 4)})
-    assert g.labels[3] == "side"
 
 
 def test_two_side_vertices_on_nine_chain():
@@ -142,7 +141,6 @@ def test_sticky_on_nine_path():
     g = attach_sticky_vertex(chain(9), 9)
     assert g.n == 10
     assert (9, 10) in g.edges
-    assert g.labels[9] == "sticky"
 
 
 def test_sticky_on_two_path():
@@ -188,7 +186,7 @@ def test_vertex_count_is_bounded_before_any_vertex_is_built():
                   lambda: SideChainConfig(N=top + 1),
                   lambda: dress_with_ring(chain(9), 9, top - 7),
                   lambda: from_edge_list_text("n=10000000\n1 2\n"),
-                  lambda: Graph(n=top + 1, edges=frozenset(), labels=())):
+                  lambda: Graph(n=top + 1, edges=frozenset())):
         with pytest.raises(ValidationError,
                            match=f"of ({top + 1}|10000000) vertices exceeds the budget of {top}$"):
             build()
