@@ -65,6 +65,13 @@ def _add_model(p: argparse.ArgumentParser) -> None:
                    help="mount offset from the center (default 0)")
 
 
+# most CSV cells a --full-series run may write: grid points times columns, which
+# are t and one per vertex (classical), and for the quantum walk also t and the
+# real and imaginary part per vertex. Cells take about 21 B, so 2.8 GB at the
+# bound; the largest shipped case, classical N = 43, S = 2 at dt = 0.01, writes
+# 101,788,156 cells (2,212,786 points x 46 columns)
+MAX_SERIES_CELLS = 1 << 27
+
 # flags only some runs read, None unless given: dest -> (flag, value a reading run defaults to)
 OPTIONAL = {"N": ("--N", 9), "S": ("--S", 0), "offset": ("--offset", 0), "lam": ("--lambda", 5.0),
             "V": ("--V", -2.5), "jump_direction": ("--jump-direction", "as-printed"),
@@ -196,6 +203,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         experiments.quantum_grid(target, args.dt)
     model = experiments.walk_model(g, args.walk)
     result, grid = experiments.run_pipeline(model, target, args.dt, args.epsilon, start=start)
+    if args.full_series:
+        columns = g.n + 1 + (2 * g.n + 1 if args.walk == "quantum" else 0)
+        if grid.n * columns > MAX_SERIES_CELLS:
+            raise ValidationError(
+                f"--full-series would write {grid.n * columns:,} CSV cells ({grid.n:,} grid "
+                f"points x {columns} columns), over the budget of {MAX_SERIES_CELLS:,}; "
+                "raise dt or drop --full-series")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.full_series and args.walk == "quantum":
         amp = quantum.evolve_schrodinger(model, start, grid)

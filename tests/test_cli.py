@@ -14,6 +14,7 @@ import ctwalk
 from ctwalk import (
     SideChainConfig,
     build_side_chain_graph,
+    cli,
     experiments,
     first_passage,
     gillespie,
@@ -322,6 +323,35 @@ def test_oversized_classical_grid_exits_2_before_any_series(tmp_path, capsys, mo
     assert code == 2
     assert err.startswith("error: the classical grid of ")
     assert f"budget of {MAX_CLASSICAL_POINTS}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("walk", ["classical", "quantum"])
+def test_full_series_cells_are_bounded(tmp_path, capsys, monkeypatch, walk):
+    """The budget counts exactly the cells the series files hold: one fewer is refused."""
+    argv = ["simulate", "--walk", walk, "--N", 5, "--S", 1, "--full-series", "--out-dir"]
+    assert run(argv + [tmp_path / "free"]) == 0
+    cells = 0
+    for name in ["occupations.csv"] + (["amplitudes.csv"] if walk == "quantum" else []):
+        rows = (tmp_path / "free" / name).read_text().splitlines()[2:]  # config, header
+        cells += len(rows) * len(rows[0].split(","))
+    monkeypatch.setattr(cli, "MAX_SERIES_CELLS", cells)
+    assert run(argv + [tmp_path / "exact"]) == 0
+    monkeypatch.setattr(cli, "MAX_SERIES_CELLS", cells - 1)
+    capsys.readouterr()
+    assert run(argv + [tmp_path / "over"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --full-series would write {cells:,}")
+    assert not (tmp_path / "over").exists()
+
+
+def test_oversized_full_series_exits_2_before_any_output(tmp_path, capsys):
+    # 7,896,511 grid points pass the classical grid's bound; 201 columns of them do not
+    code = run(["simulate", "--walk", "classical", "--N", 200, "--dt", "0.06",
+                "--full-series", "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --full-series would write 1,587,198,711 CSV cells")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
