@@ -235,6 +235,9 @@ def sticky_first_passage(
 ) -> AncillaryFirstPassage:
     """Hang a sticky vertex off target, evolve, and read F off the population
     decay of the complement vertices; the propagator's diagnostics ride along."""
+    for v in sigma_vertices:  # an index below 1 would wrap round to the sticky vertex
+        if not 1 <= v <= g.n + 1:
+            raise ValidationError(f"vertex {v} out of range 1..{g.n + 1}")
     pops, diagnostics = evolve_lindblad(g, target, cfg, start, grid)
     idx = np.array(sigma_vertices, dtype=int) - 1
     return replace(complement_flux(pops[:, idx].sum(axis=1), grid), diagnostics=diagnostics)

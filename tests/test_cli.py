@@ -208,12 +208,15 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["simulate", "--graph-file", "{tmp}/chain.txt", "--offset", "0"],
     ["montecarlo", "--seed", "-1"],
     ["ancillary", "--method", "sticky", "--lambda", "1e6"],
+    # 7,896,511 grid points pass the classical grid's bound; 201 columns of them do not
+    ["simulate", "--walk", "classical", "--N", "200", "--dt", "0.06", "--full-series"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
         "S-set-not-int", "S-set-empty", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
         "lambda-nan", "V-inf", "bin-width-nan", "t-cap-negative", "bin-width-tiny",
         "epsilon-nan", "epsilon-one", "dt-aliases-quantum", "ring-lambda", "ring-V",
         "ring-jump-direction", "ring-lambda-from-config", "sticky-M", "graph-file-N",
-        "graph-file-S", "graph-file-offset", "seed-negative", "sticky-lambda-huge"])
+        "graph-file-S", "graph-file-offset", "seed-negative", "sticky-lambda-huge",
+        "full-series-huge"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
     (tmp_path / "chain.txt").write_text("n=4\n1 2\n2 3\n3 4\n")
@@ -343,17 +346,6 @@ def test_full_series_cells_are_bounded(tmp_path, capsys, monkeypatch, walk):
     assert run(argv + [tmp_path / "over"]) == 2
     assert capsys.readouterr().err.startswith(f"error: --full-series would write {cells:,}")
     assert not (tmp_path / "over").exists()
-
-
-def test_oversized_full_series_exits_2_before_any_output(tmp_path, capsys):
-    # 7,896,511 grid points pass the classical grid's bound; 201 columns of them do not
-    code = run(["simulate", "--walk", "classical", "--N", 200, "--dt", "0.06",
-                "--full-series", "--out-dir", tmp_path / "out"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: --full-series would write 1,587,198,711 CSV cells")
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
 
 
 def test_disconnected_graph_exits_2_before_any_series(tmp_path, capsys, monkeypatch):

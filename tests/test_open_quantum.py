@@ -62,6 +62,14 @@ def test_sticky_target_must_be_a_vertex(nine_chain):
         evolve_lindblad(nine_chain, 10, cfg, 1, TimeGrid.from_span(1.0, 0.01))
 
 
+@pytest.mark.parametrize("v", [0, 11])
+def test_sticky_sigma_vertices_must_be_vertices(nine_chain, v):
+    """Vertex 0 would read the sticky vertex's population, as index -1."""
+    cfg = LindbladConfig(rate=1.0, potential=-1.0, direction="reversed")
+    with pytest.raises(ValidationError, match=f"vertex {v} out of range 1..10"):
+        sticky_first_passage(nine_chain, 9, cfg, 1, TimeGrid.from_span(1.0, 0.01), (v, 1))
+
+
 def test_sticky_vertex_count_is_bounded():
     def chain(n):  # the sticky vertex makes it n + 1
         return build_side_chain_graph(SideChainConfig(N=n))
