@@ -12,9 +12,14 @@ exact value, rounds that half to even to 17 digits and lays out %g's fixed
 or exponent notation with numpy byte operations. Zeros, infinities, nans,
 values outside that range and values whose scaled fraction lies within
 1e-6 of a half, where the rounding is not certain, are formatted by "%"
-itself. write_csvs, the one block writer, writes one or more files
-together, and encodes a column that several of them share, such as the
-time column of simulate's P_ab, P_bb and F series, once per block. A
+itself. Where at least half of a block's values repeat the value before
+them, only the head of each run of bit-identical values is encoded, and
+its bytes are repeated over the run; the bits decide, as 0.0 and -0.0
+print apart. The classical P_ab and P_bb sit on their stationary value to
+the bit over the later half of their grid. write_csvs, the one block writer, writes
+one or more files together, and encodes a column that several of them
+share, such as the time column of simulate's P_ab, P_bb and F series, once
+per block, and lays its bytes out row by row once for all of them. A
 column is anything that slices to an array; a grid.LazyRow is evaluated
 only block by block, where it is sliced. The three per-vertex writers own
 their file formats and write the rows of a walk's all-vertex grid.ModeSum
@@ -218,9 +223,24 @@ def _cells(values: np.ndarray) -> np.ndarray:
 
 
 def _encoded(values: np.ndarray) -> np.ndarray:
-    """The (n, width) bytes of each value's _cells, less the slots none prints."""
-    cells = _cells(values)
-    return cells[cells.any(axis=1)].T
+    """The (n, width) bytes of each value's _cells, less the slots none prints.
+
+    Where at least half the values repeat the one before them, only the
+    head of each run of bit-identical values is encoded, and its bytes are
+    repeated over the run, row-major. The bits decide, since 0.0 and -0.0
+    compare equal but print apart. Other blocks are encoded whole: there
+    the run path saves little, and its temporaries, a little short of a
+    whole block's, fit none of the holes whole blocks leave in the heap.
+    """
+    bits = values.view(np.int64)
+    head = np.concatenate([[True], bits[1:] != bits[:-1]])
+    if 2 * np.count_nonzero(head) > len(values):
+        cells = _cells(values)
+        return cells[cells.any(axis=1)].T
+    heads = np.flatnonzero(head)
+    cells = _cells(values[heads])
+    run = np.diff(heads, append=len(values))
+    return np.repeat(cells[cells.any(axis=1)].T, run, axis=0)
 
 
 def _rows(columns: Sequence[np.ndarray]) -> bytes:
@@ -249,6 +269,10 @@ def _block(columns: Sequence[np.ndarray], layout: Sequence[Sequence[int]], step:
         group = columns[first:first + per_call]
         block = np.concatenate([np.asarray(c[lo:lo + step], dtype=np.float64) for c in group])
         cells += np.split(_encoded(block), len(group))
+    # _rows copies each column into every file that lists it: lay a shared
+    # one out row-major once, not read it across the grain each time
+    uses = np.bincount([j for file in layout for j in file], minlength=len(columns))
+    cells = [np.ascontiguousarray(c) if n > 1 else c for c, n in zip(cells, uses)]
     return [_rows([cells[j] for j in file]) for file in layout]
 
 

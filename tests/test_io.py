@@ -215,6 +215,62 @@ def test_series_csvs_match_columns_writer(tmp_path, monkeypatch, rows):
         assert path.read_bytes() == ref.read_bytes(), path.name
 
 
+# nans whose payloads and signs differ: "%" prints every one as "nan"
+NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("column", [
+    np.repeat([0.1, 0.2, 1 / 3, 7.0], [10, 20, 33, 1]),  # runs over rows 16, 32 and 48
+    np.repeat([1.5, 2.5, 3.5], [16, 16, 5]),  # runs that start a block
+    np.repeat(np.resize([0.0, -0.0], 10), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+    np.repeat([np.inf, -np.inf, np.inf, 1.0, -np.inf], [5, 17, 2, 3, 20]),
+    np.repeat(NANS, [4, 9, 20, 6]),
+    np.full(50, 1 / 88),
+], ids=["across-blocks", "starts-block", "signed-zeros", "infinities", "nan-payloads",
+        "constant"])
+@pytest.mark.parametrize("encode_cells", [16, io.ENCODE_CELLS], ids=["apart", "together"])
+def test_runs_of_one_value_match_per_cell_format(tmp_path, monkeypatch, column, encode_cells):
+    monkeypatch.setattr(io, "BLOCK_CELLS", 32)  # 16 rows per block
+    # one column per encoder call, or both distinct columns in one
+    monkeypatch.setattr(io, "ENCODE_CELLS", encode_cells)
+    times = np.arange(len(column)) * 0.01
+    # every file lists the column with the runs; two list the time column too
+    files = [(tmp_path / "a.csv", ["t", "x"], [times, column]),
+             (tmp_path / "b.csv", ["x", "t"], [column, times]),
+             (tmp_path / "c.csv", ["x"], [column])]
+    config = {"N": 9, "walk": "classical"}
+    write_csvs(files, config)
+    for path, header, columns in files:
+        assert path.read_text() == _per_cell_reference(header, columns, config), path.name
+
+
+def test_only_the_head_of_each_run_is_encoded(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "BLOCK_CELLS", 32)  # 32 rows per block
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # _cells runs in this process
+    seen = []
+    cells = io._cells
+
+    def counting(values):
+        seen.extend(values.tolist())
+        return cells(values)
+
+    monkeypatch.setattr(io, "_cells", counting)
+    values = np.random.default_rng(5).normal(size=20)
+    column = np.repeat(values, 5)
+    write_columns_csv(tmp_path / "runs.csv", ["x"], [column], {})
+    # a run's head, and the first row of each block of 32
+    heads = [i for i in range(len(column)) if i % 32 == 0 or i % 5 == 0]
+    assert len(heads) == 23
+    assert seen == column[heads].tolist()
+    assert (tmp_path / "runs.csv").read_text() == _per_cell_reference(["x"], [column], {})
+    # a block in which fewer than half the values repeat is encoded whole
+    seen.clear()
+    column = np.repeat(values, [2] * 12 + [1] * 8)  # 20 runs in one block of 32
+    write_columns_csv(tmp_path / "few.csv", ["x"], [column], {})
+    assert len(column) == 32 and seen == column.tolist()
+
+
 @pytest.mark.parametrize("rows", [0, 1, 16, 49], ids=["header-only", "1", "block", "3block+1"])
 def test_writers_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, rows):
     monkeypatch.setattr(io, "BLOCK_CELLS", 32)  # 16 rows per block in both writers
