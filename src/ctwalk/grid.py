@@ -44,10 +44,19 @@ class TimeGrid:
 
     @classmethod
     def from_span(cls, t_end: float, dt: float) -> "TimeGrid":
-        """Grid covering [0, t_end] with spacing dt (end point included)."""
+        """Grid covering [0, t_end] with spacing dt (end point included).
+
+        Raises ValidationError when t_end / dt is 2**53 or more.
+        """
         _check_positive("t_end", t_end)
         _check_positive("dt", dt)
-        return cls(dt=dt, n=int(math.ceil(t_end / dt)) + 1)
+        steps = t_end / dt  # inf for a subnormal dt
+        if not steps < 2.0**53:  # far above every budget, and past exact counting
+            raise ValidationError(
+                f"the grid over [0, {t_end:.6g}] at dt = {dt} would hold {steps:.3g} points, "
+                "2**53 or more; raise dt"
+            )
+        return cls(dt=dt, n=int(math.ceil(steps)) + 1)
 
     @cached_property
     def times(self) -> np.ndarray:

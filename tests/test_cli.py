@@ -210,13 +210,19 @@ def test_simulate_rejects_start_equal_to_target(tmp_path, capsys, walk):
     ["ancillary", "--method", "sticky", "--lambda", "1e6"],
     # 7,896,511 grid points pass the classical grid's bound; 201 columns of them do not
     ["simulate", "--walk", "classical", "--N", "200", "--dt", "0.06", "--full-series"],
+    # a subnormal dt: t_end / dt overflows to inf
+    ["simulate", "--walk", "classical", "--N", "9", "--dt", "5e-324"],
+    ["simulate", "--walk", "quantum", "--N", "9", "--dt", "5e-324"],
+    ["montecarlo", "--N", "9", "--dt", "5e-324"],
+    ["entropy", "--N", "9", "--dt", "5e-324"],
 ], ids=["missing-graph-file", "bad-edge-line", "config-is-directory", "N-range-not-int",
         "S-set-not-int", "S-set-empty", "dt-zero", "dt-nan", "n-traj-zero", "lambda-negative",
         "lambda-nan", "V-inf", "bin-width-nan", "t-cap-negative", "bin-width-tiny",
         "epsilon-nan", "epsilon-one", "dt-aliases-quantum", "ring-lambda", "ring-V",
         "ring-jump-direction", "ring-lambda-from-config", "sticky-M", "graph-file-N",
         "graph-file-S", "graph-file-offset", "seed-negative", "sticky-lambda-huge",
-        "full-series-huge"])
+        "full-series-huge", "dt-subnormal-classical", "dt-subnormal-quantum",
+        "dt-subnormal-montecarlo", "dt-subnormal-entropy"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "bad_edge.txt").write_text("n=3\n1 x\n")
     (tmp_path / "chain.txt").write_text("n=4\n1 2\n2 3\n3 4\n")
@@ -226,6 +232,18 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("walk", ["classical", "quantum"])
+def test_tiny_dt_refusal_prints_a_short_count(tmp_path, capsys, walk):
+    # the point count is printed to three digits, not as an integer of some
+    # 300 digits
+    code = run(["simulate", "--walk", walk, "--N", "9", "--dt", "1e-300",
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "e+30" in err and len(err) < 200, err
     assert not (tmp_path / "out").exists()
 
 

@@ -174,3 +174,13 @@ def test_last_index_is_the_last_grid_point_up_to_the_horizon(dt):
     for bad in [0.0, -dt, grid.t_end + 1e-9, float("nan")]:
         with pytest.raises(ValidationError, match="outside grid span"):
             grid.last_index(bad)
+
+
+def test_from_span_refuses_a_grid_past_exact_counting():
+    # 2**53 - 1 steps is the largest count refused by no check here; the
+    # budgets of the callers lie far below it
+    assert TimeGrid.from_span(2.0**53 - 1, 1.0).n == 2**53
+    for t_end, dt in [(2.0**53, 1.0), (18.6, 5e-324), (18.6, 1e-300)]:
+        with pytest.raises(ValidationError, match="2\\*\\*53 or more; raise dt") as err:
+            TimeGrid.from_span(t_end, dt)
+        assert len(str(err.value)) < 200
