@@ -22,7 +22,7 @@ from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import classical, experiments, io, quantum
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, refuse_over
 from .gillespie import (
     check_jump_count_table,
     check_sampling_args,
@@ -205,11 +205,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result, grid = experiments.run_pipeline(model, target, args.dt, args.epsilon, start=start)
     if args.full_series:
         columns = g.n + 1 + (2 * g.n + 1 if args.walk == "quantum" else 0)
-        if grid.n * columns > MAX_SERIES_CELLS:
-            raise ValidationError(
-                f"--full-series would write {grid.n * columns:,} CSV cells ({grid.n:,} grid "
-                f"points x {columns} columns), over the budget of {MAX_SERIES_CELLS:,}; "
-                "raise dt or drop --full-series")
+        refuse_over(grid.n * columns, MAX_SERIES_CELLS,
+                    f"--full-series would write {grid.n * columns:,} CSV cells ({grid.n:,} "
+                    f"grid points x {columns} columns), which", "raise dt or drop --full-series")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     if args.full_series and args.walk == "quantum":
         amp = quantum.evolve_schrodinger(model, start, grid)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, coherence, quantum
-from .errors import NoZeroCrossingError, NumericsError, ValidationError
+from .errors import NoZeroCrossingError, NumericsError, ValidationError, refuse_over
 from .first_passage import (
     MAX_SOLVE_POINTS,
     FirstPassageResult,
@@ -112,11 +112,7 @@ def quantum_grid(target: int, dt: float, doublings: int = 0) -> TimeGrid:
     Raises ValidationError when the grid would exceed MAX_SOLVE_POINTS.
     """
     grid = TimeGrid.from_span(max(12.0, 0.7 * target + 6.0) * 2.0**doublings, dt)
-    if grid.n > MAX_SOLVE_POINTS:
-        raise ValidationError(
-            f"the quantum solve on {grid.n} grid points exceeds the budget "
-            f"of {MAX_SOLVE_POINTS}; raise dt"
-        )
+    refuse_over(grid.n, MAX_SOLVE_POINTS, "the quantum solve on {} grid points", "raise dt")
     return grid
 
 
@@ -165,11 +161,7 @@ def run_pipeline(
         rm = model
         t_eps = classical.survival_horizon(rm, target, eps=eps, start=start)
         grid = TimeGrid.from_span(t_eps * 1.05 + 4.0, dt)
-        if grid.n > MAX_CLASSICAL_POINTS:
-            raise ValidationError(
-                f"the classical grid of {grid.n} points exceeds the budget "
-                f"of {MAX_CLASSICAL_POINTS}; raise dt"
-            )
+        refuse_over(grid.n, MAX_CLASSICAL_POINTS, "the classical grid of {} points", "raise dt")
         occupations = rm.spectrum.series(target, (start, target), grid)
         balance = rm.degrees[target - 1] / rm.degrees[start - 1]
         coefs = occupations.coefs.copy()

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, refuse_over
 from .graphs import Graph
 from .grid import _check_positive
 
@@ -126,12 +126,9 @@ def table_length_estimate(g: Graph, target: int) -> float:
 def check_jump_count_table(g: Graph, target: int) -> None:
     """Refuse a jump-count table whose build would take more than MAX_TABLE_WORK."""
     length = table_length_estimate(g, target)
-    if length * g.n**2 > MAX_TABLE_WORK:
-        raise ValidationError(
-            f"the jump-count table to vertex {target} would hold about {length:.3g} "
-            f"entries; times {g.n} vertices squared that exceeds the budget of "
-            f"{MAX_TABLE_WORK:.3g}; sample a smaller graph"
-        )
+    refuse_over(length * g.n**2, MAX_TABLE_WORK,
+                f"the jump-count table to vertex {target} would hold about {length:.3g} "
+                f"entries; times {g.n} vertices squared that", "sample a smaller graph")
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -163,15 +160,11 @@ def check_sampling_args(n_traj: int, seed: int, bin_width: float, t_cap: float) 
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
-    if n_traj > MAX_TRAJ:
-        raise ValidationError(f"n_traj = {n_traj} exceeds the budget of {MAX_TRAJ} trajectories")
+    refuse_over(n_traj, MAX_TRAJ, "a run of {} trajectories")
     _check_positive("bin_width", bin_width)
     _check_positive("t_cap", t_cap)
-    if t_cap / bin_width > MAX_BINS:
-        raise ValidationError(
-            f"t_cap / bin_width = {t_cap / bin_width:.3g} histogram bins exceeds "
-            f"the budget of {MAX_BINS}; widen the bins or lower t_cap"
-        )
+    refuse_over(t_cap / bin_width, MAX_BINS, "t_cap / bin_width = {} histogram bins",
+                "widen the bins or lower t_cap")
 
 
 def gillespie_first_passage(

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, refuse_over
 
 Edge = tuple[int, int]
 
@@ -30,8 +30,7 @@ MAX_VERTICES = 2048
 
 def check_vertex_count(n: int) -> None:
     """Refuse more than MAX_VERTICES vertices, before any per-vertex structure is built."""
-    if n > MAX_VERTICES:
-        raise ValidationError(f"a graph of {n} vertices exceeds the budget of {MAX_VERTICES}")
+    refuse_over(n, MAX_VERTICES, "a graph of {} vertices")
 
 
 def _normalize_edge(u: int, v: int) -> Edge:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError, ValidationError, refuse_over
 from .graphs import Graph, attach_sticky_vertex, dress_with_ring
 from .grid import TimeGrid
 from .quantum import build_hamiltonian, spectrum, transition_probabilities
@@ -105,9 +105,7 @@ def check_sticky(g: Graph, target: int) -> None:
     """Refuse a sticky run evolve_lindblad cannot take: a target outside g, or more
     than MAX_STICKY_VERTICES vertices once the sticky vertex is attached."""
     g.check_vertex(target)
-    if g.n + 1 > MAX_STICKY_VERTICES:
-        raise ValidationError(f"a sticky graph of {g.n + 1} vertices exceeds the budget "
-                              f"of {MAX_STICKY_VERTICES}")
+    refuse_over(g.n + 1, MAX_STICKY_VERTICES, "a sticky graph of {} vertices")
 
 
 def evolve_lindblad(
@@ -155,12 +153,10 @@ def evolve_lindblad(
     v = q[:, b]
     norm = float(np.max(np.abs(z)) + cfg.rate * np.linalg.norm(u) * np.linalg.norm(v))
     per_step = grid.dt * norm / THETA[-1]  # Taylor substeps per grid step, unrounded
-    if not grid.n * max(per_step, 1.0) * n * n <= MAX_STICKY_WORK:
-        raise ValidationError(
-            f"lambda = {cfg.rate:g} needs {per_step:.3g} Taylor substeps per grid step; "
-            f"over {grid.n} grid steps of {n}^2 entries that exceeds the budget of "
-            f"{MAX_STICKY_WORK:.3g}; lower lambda or take fewer grid steps"
-        )
+    refuse_over(grid.n * max(per_step, 1.0) * n * n, MAX_STICKY_WORK,
+                f"lambda = {cfg.rate:g} needs {per_step:.3g} Taylor substeps per grid step; "
+                f"over {grid.n} grid steps of {n}^2 entries that",
+                "lower lambda or take fewer grid steps")
     substeps = max(1, math.ceil(per_step))
     h = grid.dt / substeps
     m = min(len(THETA), int(np.searchsorted(THETA, h * norm)) + 1)
