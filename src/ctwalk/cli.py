@@ -33,6 +33,7 @@ from .graphs import (
     SideChainConfig,
     build_side_chain_graph,
     check_ring,
+    check_vertex_count,
     from_edge_list_text,
 )
 from .grid import TimeGrid
@@ -252,8 +253,9 @@ def _parse_range(text: str) -> list[int]:
         raise ValidationError(f"--N-range must be start:stop[:step], got {text!r}")
     start, stop, *rest = [_int(x, "--N-range") for x in parts]
     step = rest[0] if rest else 1
-    if step <= 0 or stop < start:
-        raise ValidationError(f"bad --N-range {text!r}")
+    if step <= 0 or not 2 <= start <= stop:
+        raise ValidationError(f"bad --N-range {text!r}: need 2 <= start <= stop, step >= 1")
+    check_vertex_count(start + (stop - start) // step * step)  # the largest N, before the list
     return list(range(start, stop + 1, step))
 
 

@@ -117,12 +117,16 @@ def quantum_grid(target: int, dt: float, doublings: int = 0) -> TimeGrid:
 
 
 def _gated(result: FirstPassageResult, residual_max: float) -> tuple[FirstPassageResult, TimeGrid]:
-    """result and its grid, or NumericsError if its round-trip residual exceeds residual_max."""
+    """result and its grid, or NumericsError if its round-trip residual exceeds
+    residual_max or its mean lies outside (0, tau0), where no density can put it."""
     if not result.reconstruction_error <= residual_max:  # also catches nan
         raise NumericsError(
             f"residual {result.reconstruction_error:.3g} > {residual_max:g} "
             f"at {result.grid.n} points"
         )
+    if not 0.0 < result.tau < result.tau0:
+        raise NumericsError(f"mean first-passage time {result.tau:.6g} outside (0, tau0 = "
+                            f"{result.tau0:.6g}) at dt = {result.grid.dt:g}; lower dt")
     return result, result.grid
 
 
@@ -151,9 +155,10 @@ def run_pipeline(
 
     Raises NumericsError when the round-trip residual (for the classical
     walk, its modal bound) exceeds QUANTUM_RESIDUAL_MAX or
-    CLASSICAL_RESIDUAL_MAX, and ValidationError when a grid would exceed
-    MAX_SOLVE_POINTS (quantum) or MAX_CLASSICAL_POINTS (classical), before
-    any series on it.
+    CLASSICAL_RESIDUAL_MAX or the mean lies outside (0, tau0), and
+    ValidationError when a grid would exceed MAX_SOLVE_POINTS (quantum) or
+    MAX_CLASSICAL_POINTS (classical), or a classical grid hold fewer than 3
+    points, before any series on it.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
@@ -162,6 +167,9 @@ def run_pipeline(
         t_eps = classical.survival_horizon(rm, target, eps=eps, start=start)
         grid = TimeGrid.from_span(t_eps * 1.05 + 4.0, dt)
         refuse_over(grid.n, MAX_CLASSICAL_POINTS, "the classical grid of {} points", "raise dt")
+        if grid.n < 3:  # as the quantum solve refuses one
+            raise ValidationError(f"the classical grid of {grid.n} points needs at least 3; "
+                                  "lower dt")
         occupations = rm.spectrum.series(target, (start, target), grid)
         balance = rm.degrees[target - 1] / rm.degrees[start - 1]
         coefs = occupations.coefs.copy()
@@ -325,7 +333,15 @@ def sweep(
     eps: float = 1e-6,
     cache_dir: str | Path | None = None,
 ) -> list[SweepRecord]:
-    """All (N, S) cases at a fixed offset, in the product order of ns and s_values."""
+    """All (N, S) cases at a fixed offset, in the product order of ns and s_values.
+
+    Every budget grows with N and S, so the largest case's graph and, for the
+    quantum walk, its first grid are checked before any case is run.
+    """
+    if ns and s_values:
+        SideChainConfig(N=max(ns), S=max(s_values), offset=offset)
+        if walk == "quantum":
+            quantum_grid(max(ns), dt)
     return [cached_run_case(n, s, offset, walk, dt, eps, cache_dir) for n in ns for s in s_values]
 
 

@@ -135,6 +135,45 @@ def test_simulate_two_path_classical_mean(tmp_path):
     assert doc["tau"] == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--walk", "classical", "--N", "3", "--dt", "1e20"],
+    ["montecarlo", "--N", "3", "--n-traj", "10", "--dt", "1e300"],
+    ["sweep", "--walk", "classical", "--N-range", "3:3", "--S-set", "0", "--dt", "1e300"],
+    # dt * dt overflows in the modal moments of a 2-point grid
+    ["simulate", "--walk", "classical", "--N", "9", "--dt", "1e155"],
+], ids=["simulate", "montecarlo", "sweep", "simulate-dt-squared-overflows"])
+def test_classical_grid_under_3_points_exits_2_where_it_is_sized(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + ["--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the classical grid of 2 points needs at least 3")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt", [3, 5, 10])
+def test_mean_outside_its_horizon_exits_1(tmp_path, capsys, dt):
+    # a two-vertex graph, whose exact mean is 1: these coarse grids gave -0.61,
+    # -7.50 and -6.67
+    (tmp_path / "two.txt").write_text("n=2\n1 2\n")
+    code = run(["simulate", "--graph-file", tmp_path / "two.txt", "--walk", "classical",
+                "--dt", dt, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: numerical failure: mean first-passage time -")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_mean_of_a_two_vertex_graph_inside_its_horizon(tmp_path):
+    (tmp_path / "two.txt").write_text("n=2\n1 2\n")
+    assert run(["simulate", "--graph-file", tmp_path / "two.txt", "--walk", "classical",
+                "--dt", 0.01, "--out-dir", tmp_path]) == 0
+    assert json.loads((tmp_path / "result.json").read_text())["tau"] == pytest.approx(1.0, abs=1e-4)
+
+
 def test_simulate_custom_graph(tmp_path):
     graph_file = tmp_path / "g.txt"
     graph_file.write_text("n=4\n1 2\n2 3\n3 4\n")
@@ -302,7 +341,9 @@ def test_oversized_quantum_grid_exits_2_before_any_series(tmp_path, capsys, monk
     ["sweep", "--N-range", "2000:2000", "--S-set", "0", "--cache-dir", "{tmp}/cache"],
     # the default cache, <out-dir>/cache, is made only once an entry is written
     ["sweep", "--N-range", "2000:2000", "--S-set", "0"],
-], ids=["simulate", "entropy", "ancillary", "sweep", "sweep-default-cache"])
+    # the largest case is checked before N = 43 is solved or cached
+    ["sweep", "--walk", "quantum", "--N-range", "43:2000:1957"],
+], ids=["simulate", "entropy", "ancillary", "sweep", "sweep-default-cache", "sweep-largest-last"])
 def test_oversized_quantum_grid_exits_2_before_the_eigh(tmp_path, capsys, monkeypatch, argv):
     # the first horizon at N = 2000, 1,406, is 140,601 points at dt = 0.01
     def unreachable(*args):
@@ -478,7 +519,12 @@ def test_sweep_accepts_only_jobs_1(tmp_path, capsys, jobs):
     ["ancillary", "--method", "ring", "--N", "9", "--M", "10000000"],
     ["simulate", "--graph-file", "{tmp}/huge.txt"],
     ["ancillary", "--method", "sticky", "--N", "128"],
-], ids=["N", "S", "montecarlo-N", "entropy-N", "ring-M", "graph-file-n", "sticky-N"])
+    # the largest case, 2,049 vertices, is checked before N = 43 is run or cached
+    ["sweep", "--walk", "classical", "--N-range", "43:2047:2004", "--S-set", "2"],
+    # refused before the range's list is built
+    ["sweep", "--N-range", "3:1000000000000000000000000000000:2"],
+], ids=["N", "S", "montecarlo-N", "entropy-N", "ring-M", "graph-file-n", "sticky-N",
+        "sweep-largest-last", "N-range-huge"])
 def test_oversized_graphs_exit_2_before_any_matrix(tmp_path, capsys, monkeypatch, argv):
     adjacency = ctwalk.Graph.adjacency
 
@@ -494,6 +540,20 @@ def test_oversized_graphs_exit_2_before_any_matrix(tmp_path, capsys, monkeypatch
     assert code == 2
     assert err.startswith("error: a ") and "exceeds the budget of" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_n_range_prints_a_short_count(tmp_path, capsys):
+    assert run(["sweep", "--N-range", "3:1000000000000000000000000000000:2",
+                "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "error: a graph of 1e+30 vertices exceeds the budget of 2048\n"
+
+
+@pytest.mark.parametrize("text", ["1:5", "-1000000000000000000:3", "5:3", "3:9:0"])
+def test_n_range_outside_the_chain_model_is_refused(tmp_path, capsys, text):
+    # N starts at 2, so a range holds at most the vertex budget's count of values
+    assert run(["sweep", f"--N-range={text}", "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad --N-range {text!r}")
     assert not (tmp_path / "out").exists()
 
 

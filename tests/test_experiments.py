@@ -182,6 +182,21 @@ def test_sweep_order_is_deterministic(tmp_path):
     assert [(r.N, r.S) for r in records] == [(3, 0), (3, 1), (5, 0), (5, 1)]
 
 
+@pytest.mark.parametrize("ns, s_values, walk, refusal", [
+    ([43, 2047], [0, 2], "classical", "a graph of 2049 vertices"),
+    ([43, 1865], [0], "quantum", "the quantum solve on 131151 grid points"),
+], ids=["vertices", "quantum-grid"])
+def test_sweep_checks_its_largest_case_before_its_first(tmp_path, monkeypatch, ns, s_values,
+                                                       walk, refusal):
+    def boom(*a, **k):
+        raise AssertionError("a case ran before the largest was checked")
+
+    monkeypatch.setattr(experiments, "run_case", boom)
+    with pytest.raises(ValidationError, match=f"^{refusal} exceeds the budget"):
+        sweep(ns, s_values, 0, walk, cache_dir=tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
+
+
 def test_cache_round_trip(tmp_path, monkeypatch):
     rec = cached_run_case(5, 1, 0, "quantum", cache_dir=tmp_path)
     files = list(tmp_path.glob("*.json"))
