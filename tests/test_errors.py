@@ -14,10 +14,12 @@ def test_an_amount_within_its_budget_passes(amount, budget):
     (float("inf"), 1.5e8, "a graph of inf vertices exceeds the budget of 150000000"),
     (10**15 - 1, 10, "a graph of 999999999999999 vertices exceeds the budget of 10"),
     (10**15, 10, "a graph of 1e+15 vertices exceeds the budget of 10"),
+    # the largest N of sweep --N-range 3:1000000000000000000000000000000:2
     (10**30 - 1, 2048, "a graph of 1e+30 vertices exceeds the budget of 2048"),
+    # a --graph-file whose n= line has 401 digits
     (10**400, 2048, "a graph of 1.00e+400 vertices exceeds the budget of 2048"),
     (10000000.5, 10_000_000, "a graph of 10000000.5 vertices exceeds the budget of 10000000"),
-], ids=["int", "nan", "inf", "digits", "three-digits", "past-1e15", "past-floats", "fraction"])
+], ids=["int", "nan", "inf", "digits", "three-digits", "huge-N-range", "past-floats", "fraction"])
 def test_an_amount_over_its_budget_is_refused_with_its_count(amount, budget, message):
     with pytest.raises(ValidationError) as err:
         refuse_over(amount, budget, "a graph of {} vertices")
